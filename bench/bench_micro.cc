@@ -375,7 +375,7 @@ void BM_ReplayPlanPrefilter(benchmark::State& state) {
   static const PrefilterFixture& fx =
       *new PrefilterFixture(BuildPrefilterFixture(64, 4096));
   core::DependencyOptions options;
-  if (prefilter) options.static_footprints = &fx.footprints;
+  if (prefilter) options.static_footprints = fx.footprints;
   for (auto _ : state) {
     core::ReplayPlan plan = core::ComputeReplayPlan(
         fx.analysis, /*target_index=*/1, fx.target_rw,
@@ -602,26 +602,37 @@ void BM_WalRecover(benchmark::State& state) {
 }
 BENCHMARK(BM_WalRecover)->Arg(100)->Arg(1000);
 
-// MVCC snapshot acquisition (DESIGN.md §14). Arg 0: the epoch is
-// unchanged, so SnapshotHistory() returns the cached shared_ptr — this is
-// the per-analysis overhead every concurrent what-if pays. Arg 1: a commit
-// lands between acquisitions, so every iteration rebuilds the snapshot
-// (full CoW clone + analysis catch-up) — the cost writers impose on the
-// first analyst after them.
+// MVCC snapshot acquisition (DESIGN.md §14). Args: {advance, history}.
+// advance 0: the epoch is unchanged, so SnapshotHistory() returns the
+// cached shared_ptr — the per-analysis overhead every concurrent what-if
+// pays. advance 1: a commit lands between acquisitions, so every iteration
+// rebuilds the snapshot (CoW clone + analysis catch-up + the one new entry;
+// the history's older chunks are shared) — the cost writers impose on the
+// first analyst after them. `history` is the log length before timing
+// starts; the rebuild should not grow with it.
 void BM_SnapshotAcquire(benchmark::State& state) {
   const bool advance = state.range(0) != 0;
+  const int64_t history = state.range(1);
   core::Ultraverse uv;
   if (!uv.ExecuteSql("CREATE TABLE t (id INT PRIMARY KEY, v INT)").ok()) {
     state.SkipWithError("setup failed");
     return;
   }
-  for (int i = 1; i <= 64; ++i) {
-    if (!uv.ExecuteSql("INSERT INTO t (id, v) VALUES (" +
-                       std::to_string(i) + ", 0)")
-             .ok()) {
+  for (int64_t i = 1; i < history; ++i) {
+    const std::string sql =
+        i <= 64 ? "INSERT INTO t (id, v) VALUES (" + std::to_string(i) + ", 0)"
+                : "UPDATE t SET v = v + 1 WHERE id = " +
+                      std::to_string(1 + i % 64);
+    if (!uv.ExecuteSql(sql).ok()) {
       state.SkipWithError("setup failed");
       return;
     }
+  }
+  // The first build analyzes and copies the whole history; keep it out of
+  // the timed loop.
+  if (!uv.SnapshotHistory().ok()) {
+    state.SkipWithError("snapshot failed");
+    return;
   }
   int k = 0;
   for (auto _ : state) {
@@ -644,7 +655,11 @@ void BM_SnapshotAcquire(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SnapshotAcquire)->Arg(0)->Arg(1);
+BENCHMARK(BM_SnapshotAcquire)
+    ->Args({0, 65})
+    ->Args({1, 65})
+    ->Args({1, 2048})
+    ->Args({1, 8192});
 
 // What-if result-cache hit latency (DESIGN.md §14): the steady-state cost
 // of re-asking an already-answered question at an unchanged epoch — a map

@@ -27,6 +27,19 @@ enum class Cause : uint8_t {
   kNoRule,
 };
 
+/// RowSet::TypedRegionOf(v).ToString(), cut to kShownPoints items and
+/// built from at most one point more than it shows.
+std::string ShownView(const RowSet::Vals& v) {
+  constexpr size_t kShownPoints = 4;
+  if (v.wildcard) return v.region.ToString(kShownPoints);
+  ValueRegion shown = ValueRegion::EmptySet();
+  for (const auto& enc : v.values) {
+    if (shown.points.size() > kShownPoints) break;
+    if (v.region.ContainsEncoded(enc)) shown.points.insert(enc);
+  }
+  return shown.ToString(kShownPoints);
+}
+
 /// Predicate-veto state (DESIGN.md §15): row sets of the target + joined
 /// members, compared through their typed predicate regions when a classic
 /// dependency rule fires. Kept separately from the granularity
@@ -53,7 +66,9 @@ struct RegionAccumulators {
            rw.wr.RegionIntersects(rw.overwrites ? w : ow);
   }
   /// Evidence string for a refuted candidate: the candidate's typed row
-  /// views against the accumulated views on the keys it touches.
+  /// views against the accumulated views on the keys it touches. Views are
+  /// cut to a few points, so describing a candidate never costs as much
+  /// as the accumulators have grown.
   std::string Describe(const QueryRW& rw) const {
     std::string out;
     auto add = [&](const char* tag, const RowSet& mine, const RowSet& acc) {
@@ -62,9 +77,8 @@ struct RegionAccumulators {
         if (it == acc.cols.end()) continue;
         if (out.size() > 160) return;
         if (!out.empty()) out += "; ";
-        out += std::string(tag) + " " + col + " " +
-               RowSet::TypedRegionOf(vals).ToString() + " vs members " +
-               RowSet::TypedRegionOf(it->second).ToString();
+        out += std::string(tag) + " " + col + " " + ShownView(vals) +
+               " vs members " + ShownView(it->second);
       }
     };
     add("reads", rw.rr, w);
@@ -77,9 +91,9 @@ struct RegionAccumulators {
 
 template <typename Sets>
 std::set<uint64_t> ClosureOneGranularity(
-    const std::vector<QueryRW>& analysis, uint64_t target_index,
+    HistoryView<QueryRW> analysis, uint64_t target_index,
     const QueryRW& target_rw, bool target_occupies_slot, Sets sets,
-    const std::vector<TableFootprint>* static_footprints,
+    HistoryView<TableFootprint> static_footprints,
     bool predicate_filter = false, const std::set<uint64_t>* forced = nullptr,
     std::vector<Cause>* causes = nullptr,
     std::vector<std::string>* details = nullptr) {
@@ -131,7 +145,7 @@ std::set<uint64_t> ClosureOneGranularity(
       sets.MergeInto(&acc_w, sets.Writes(rw));
       sets.MergeInto(&acc_r, sets.Reads(rw));
       if (rw.overwrites) sets.MergeInto(&acc_ow, sets.Writes(rw));
-      if (static_footprints) acc_fp.Merge(FootprintOf(rw));
+      if (!static_footprints.empty()) acc_fp.Merge(FootprintOf(rw));
       if (regions) regions->Join(rw);
       continue;
     }
@@ -139,8 +153,8 @@ std::set<uint64_t> ClosureOneGranularity(
       record(idx, Cause::kReadOnly);
       continue;  // read-only queries never replay
     }
-    if (static_footprints && idx - 1 < static_footprints->size() &&
-        !(*static_footprints)[idx - 1].Intersects(acc_fp)) {
+    if (idx - 1 < static_footprints.size() &&
+        !static_footprints[idx - 1].Intersects(acc_fp)) {
       record(idx, Cause::kStatic);
       continue;  // statically disjoint: no rule can fire
     }
@@ -182,7 +196,7 @@ std::set<uint64_t> ClosureOneGranularity(
       sets.MergeInto(&acc_w, sets.Writes(rw));
       sets.MergeInto(&acc_r, sets.Reads(rw));
       if (rw.overwrites) sets.MergeInto(&acc_ow, sets.Writes(rw));
-      if (static_footprints) acc_fp.Merge(FootprintOf(rw));
+      if (!static_footprints.empty()) acc_fp.Merge(FootprintOf(rw));
       if (regions) regions->Join(rw);
     }
   }
@@ -211,7 +225,7 @@ struct RowGranularity {
 
 }  // namespace
 
-ReplayPlan ComputeReplayPlan(const std::vector<QueryRW>& analysis,
+ReplayPlan ComputeReplayPlan(HistoryView<QueryRW> analysis,
                              uint64_t target_index, const QueryRW& target_rw,
                              bool target_occupies_slot,
                              const DependencyOptions& options) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/rw_sets.h"
+#include "util/shared_history.h"
 
 namespace ultraverse::core {
 
@@ -23,8 +24,8 @@ struct DependencyOptions {
   /// footprint). During closure computation a candidate whose *static*
   /// footprint is disjoint from the accumulated member footprint cannot
   /// satisfy any closure rule, so its ColumnSet/RowSet intersections are
-  /// skipped outright. nullptr disables the pre-filter.
-  const std::vector<TableFootprint>* static_footprints = nullptr;
+  /// skipped outright. An empty view disables the pre-filter.
+  HistoryView<TableFootprint> static_footprints;
 
   /// Third pre-filter tier (DESIGN.md §15), after the table-footprint
   /// filter above: a candidate whose symbolic predicate regions are
@@ -117,7 +118,7 @@ struct ReplayPlan {
 /// being seeded into the accumulators instead) and false for add, where the
 /// new query is inserted *before* log[target_index] and that commit remains
 /// an ordinary suffix candidate.
-ReplayPlan ComputeReplayPlan(const std::vector<QueryRW>& analysis,
+ReplayPlan ComputeReplayPlan(HistoryView<QueryRW> analysis,
                              uint64_t target_index, const QueryRW& target_rw,
                              bool target_occupies_slot,
                              const DependencyOptions& options);

@@ -29,59 +29,52 @@ bool ValueInterval::Contains(const Value& v) const {
   return true;
 }
 
+namespace {
+
+/// One bound of an interval, borrowed from the interval that owns it
+/// (nullptr = unbounded).
+struct Bound {
+  const Value* v = nullptr;
+  bool incl = false;
+};
+
+/// The tighter of two bounds on the same side: the greater lower bound
+/// (`sign` = 1) or the lesser upper bound (`sign` = -1). Ties intersect
+/// the inclusivity flags.
+Bound Tighter(const std::optional<Value>& a, bool a_incl,
+              const std::optional<Value>& b, bool b_incl, int sign) {
+  if (!a) return {b ? &*b : nullptr, b_incl};
+  if (!b) return {&*a, a_incl};
+  int c = a->Compare(*b) * sign;
+  if (c > 0) return {&*a, a_incl};
+  if (c < 0) return {&*b, b_incl};
+  return {&*a, a_incl && b_incl};
+}
+
+bool NonEmpty(const Bound& lo, const Bound& hi) {
+  if (!lo.v || !hi.v) return true;
+  int c = lo.v->Compare(*hi.v);
+  return c < 0 || (c == 0 && lo.incl && hi.incl);
+}
+
+}  // namespace
+
 std::optional<ValueInterval> ValueInterval::Meet(
     const ValueInterval& other) const {
+  Bound l = Tighter(lo, lo_incl, other.lo, other.lo_incl, 1);
+  Bound h = Tighter(hi, hi_incl, other.hi, other.hi_incl, -1);
+  if (!NonEmpty(l, h)) return std::nullopt;
   ValueInterval r;
-  // Lower bound: the greater of the two (ties intersect inclusivity).
-  if (!lo) {
-    r.lo = other.lo;
-    r.lo_incl = other.lo_incl;
-  } else if (!other.lo) {
-    r.lo = lo;
-    r.lo_incl = lo_incl;
-  } else {
-    int c = lo->Compare(*other.lo);
-    if (c > 0) {
-      r.lo = lo;
-      r.lo_incl = lo_incl;
-    } else if (c < 0) {
-      r.lo = other.lo;
-      r.lo_incl = other.lo_incl;
-    } else {
-      r.lo = lo;
-      r.lo_incl = lo_incl && other.lo_incl;
-    }
-  }
-  // Upper bound: the lesser of the two.
-  if (!hi) {
-    r.hi = other.hi;
-    r.hi_incl = other.hi_incl;
-  } else if (!other.hi) {
-    r.hi = hi;
-    r.hi_incl = hi_incl;
-  } else {
-    int c = hi->Compare(*other.hi);
-    if (c < 0) {
-      r.hi = hi;
-      r.hi_incl = hi_incl;
-    } else if (c > 0) {
-      r.hi = other.hi;
-      r.hi_incl = other.hi_incl;
-    } else {
-      r.hi = hi;
-      r.hi_incl = hi_incl && other.hi_incl;
-    }
-  }
-  if (r.lo && r.hi) {
-    int c = r.lo->Compare(*r.hi);
-    if (c > 0) return std::nullopt;
-    if (c == 0 && !(r.lo_incl && r.hi_incl)) return std::nullopt;
-  }
+  if (l.v) r.lo = *l.v;
+  if (h.v) r.hi = *h.v;
+  r.lo_incl = l.incl;
+  r.hi_incl = h.incl;
   return r;
 }
 
 bool ValueInterval::Intersects(const ValueInterval& other) const {
-  return Meet(other).has_value();
+  return NonEmpty(Tighter(lo, lo_incl, other.lo, other.lo_incl, 1),
+                  Tighter(hi, hi_incl, other.hi, other.hi_incl, -1));
 }
 
 bool ValueInterval::Covers(const ValueInterval& other) const {
@@ -147,7 +140,20 @@ bool ValueRegion::Intersects(const ValueRegion& other) const {
   // ⊤ ∩ ∅ is empty: an empty region matches no row, whatever faces it.
   if (IsEmptySet() || other.IsEmptySet()) return false;
   if (top || other.top) return true;
-  return !MeetWith(other).IsEmptySet();
+  // The existence checks MeetWith encodes, without building the meet:
+  // a point of either side in the other, or a pair of meeting intervals.
+  for (const auto& p : points) {
+    if (other.ContainsEncoded(p)) return true;
+  }
+  for (const auto& p : other.points) {
+    if (ContainsEncoded(p)) return true;
+  }
+  for (const auto& a : intervals) {
+    for (const auto& b : other.intervals) {
+      if (a.Intersects(b)) return true;
+    }
+  }
+  return false;
 }
 
 bool ValueRegion::Contains(const Value& v) const {
@@ -190,14 +196,17 @@ bool ValueRegion::ContainedIn(const ValueRegion& other) const {
   return true;
 }
 
-std::string ValueRegion::ToString() const {
+std::string ValueRegion::ToString(size_t max_items) const {
   if (top) return "*";
   if (IsEmptySet()) return "{}";
   std::ostringstream os;
-  bool first = true;
+  size_t left = max_items;
   if (!points.empty()) {
     os << '{';
+    bool first = true;
     for (const auto& p : points) {
+      if (left == 0) break;
+      --left;
       if (!first) os << ", ";
       first = false;
       Value v;
@@ -205,11 +214,15 @@ std::string ValueRegion::ToString() const {
     }
     os << '}';
   }
+  bool first = points.empty();
   for (const auto& iv : intervals) {
-    if (!first || !points.empty()) os << " u ";
+    if (left == 0) break;
+    --left;
+    if (!first) os << " u ";
     first = false;
     os << iv.ToString();
   }
+  if (points.size() + intervals.size() > max_items) os << " ...";
   return os.str();
 }
 

@@ -1,6 +1,7 @@
 #ifndef ULTRAVERSE_CORE_PREDICATE_H_
 #define ULTRAVERSE_CORE_PREDICATE_H_
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <set>
@@ -83,6 +84,8 @@ struct ValueRegion {
   void MergeWith(const ValueRegion& other);
   /// Exact meet: {x : x ∈ this ∧ x ∈ other} up to decode-conservatism.
   ValueRegion MeetWith(const ValueRegion& other) const;
+  /// Exactly !MeetWith(other).IsEmptySet(), decided by existence checks
+  /// without building the meet.
   bool Intersects(const ValueRegion& other) const;
   bool Contains(const sql::Value& v) const;
   bool ContainsEncoded(const std::string& enc) const;
@@ -92,7 +95,9 @@ struct ValueRegion {
   /// folds, so a dynamic interval either meets its identical static twin
   /// or a static ⊤ — the conservatism never fires in aligned pairs.
   bool ContainedIn(const ValueRegion& other) const;
-  std::string ToString() const;
+  /// Renders at most `max_items` points and intervals, then " ..." when
+  /// some were left out.
+  std::string ToString(size_t max_items = SIZE_MAX) const;
 };
 
 /// Hook resolving an expression to its candidate constant values: the

@@ -57,10 +57,10 @@ class HashTimeline {
   }
 
   /// Snapshot-mode build: iterating the live deque would race concurrent
-  /// appends, so the pinned entry pointers captured under the commit lock
-  /// are the only safe history view.
-  explicit HashTimeline(const std::vector<const sql::LogEntry*>& pinned) {
-    for (const sql::LogEntry* entry : pinned) Add(*entry);
+  /// appends, so the entries pinned under the commit lock are the only
+  /// safe history view.
+  explicit HashTimeline(HistoryView<sql::LogEntry> pinned) {
+    for (size_t i = 0; i < pinned.size(); ++i) Add(pinned[i]);
   }
 
   /// The logged digest of `table` at the last write at-or-before `index`;
@@ -120,7 +120,7 @@ const HashTimeline* RetroactiveEngine::EnsureTimeline() {
 }
 
 const sql::LogEntry& RetroactiveEngine::EntryAt(uint64_t index) const {
-  if (options_.pinned_entries) return *(*options_.pinned_entries)[index - 1];
+  if (options_.pinned_entries) return (*options_.pinned_entries)[index - 1];
   return log_->at(index);
 }
 
@@ -514,7 +514,7 @@ Result<ReplayStats> RetroactiveEngine::ExecuteFullNaive(const RetroOp& op,
 }
 
 Result<ReplayStats> RetroactiveEngine::Execute(
-    const RetroOp& op, const std::vector<QueryRW>& analysis,
+    const RetroOp& op, HistoryView<QueryRW> analysis,
     QueryAnalyzer* analyzer) {
   // History extent this execution sees: the pinned snapshot horizon when
   // the facade froze one, the live log otherwise. Everything below reads
@@ -1384,8 +1384,9 @@ void RetroactiveEngine::RewritePublishedLog(const RetroOp& op) {
   if (log == nullptr) return;
   // mutable_entries() bumps the history epoch, so every epoch-keyed
   // derivative (snapshots, analyze-result cache, hash timelines)
-  // invalidates on its next key check.
-  std::deque<sql::LogEntry>& entries = log->mutable_entries();
+  // invalidates on its next key check, and records a rewrite from τ, so
+  // the next snapshot shares only the prefix before it.
+  std::deque<sql::LogEntry>& entries = log->mutable_entries(op.index);
   const size_t pos = size_t(op.index) - 1;  // deque position of τ
   switch (op.kind) {
     case RetroOp::Kind::kChange: {

@@ -186,11 +186,11 @@ class RetroactiveEngine {
     /// instead of the live log's current size — the what-if runs against
     /// the prefix frozen at snapshot time while writers keep appending.
     uint64_t horizon_override = 0;
-    /// Entry pointers for log indices [1, horizon_override], captured under
-    /// the commit lock at snapshot time. When set, the engine reads history
-    /// exclusively through them: concurrent appends mutate the deque's
+    /// Log indices [1, horizon_override] as a snapshot pinned them under
+    /// the commit lock. When set, the engine reads history exclusively
+    /// through this view: concurrent appends mutate the live deque's
     /// internals, so even bounded-index reads of the live log would race.
-    const std::vector<const sql::LogEntry*>* pinned_entries = nullptr;
+    std::optional<HistoryView<sql::LogEntry>> pinned_entries;
     /// History epoch the snapshot (pinned_entries / the staged base) was
     /// taken at. Two uses: the Hash-jumper timeline cache key, and — in
     /// publish mode — optimistic conflict detection: if the live epoch has
@@ -270,7 +270,7 @@ class RetroactiveEngine {
   /// Runs the retroactive operation. `analysis[i]` must describe log entry
   /// i+1; `analyzer` supplies R/W analysis for the op's new statement.
   Result<ReplayStats> Execute(const RetroOp& op,
-                              const std::vector<QueryRW>& analysis,
+                              HistoryView<QueryRW> analysis,
                               QueryAnalyzer* analyzer);
 
   /// The temporary database of the last Execute() call (tests inspect the
@@ -306,7 +306,7 @@ class RetroactiveEngine {
   const HashTimeline* EnsureTimeline();
 
   /// Committed entry at 1-based `index` — through the pinned snapshot
-  /// pointers when Options::pinned_entries is set, else the live log.
+  /// view when Options::pinned_entries is set, else the live log.
   const sql::LogEntry& EntryAt(uint64_t index) const;
 
   /// End of the history this execution replays over: the pinned horizon in

@@ -62,15 +62,49 @@ void RowSet::AddConstrained(const std::string& column,
 
 ValueRegion RowSet::TypedRegionOf(const Vals& v) {
   if (v.wildcard) return v.region;
-  ValueRegion classic = ValueRegion::OfPoints(v.values);
-  return classic.MeetWith(v.region);
+  ValueRegion view = ValueRegion::EmptySet();
+  for (const auto& enc : v.values) {
+    if (v.region.ContainsEncoded(enc)) view.points.insert(enc);
+  }
+  return view;
 }
+
+namespace {
+
+/// Decides TypedRegionOf(a) ∩ TypedRegionOf(b) ≠ ∅ without building
+/// either view: a point-valued entry's view is its values filtered by its
+/// region, so each of its points is probed into the other side instead.
+bool ViewsIntersect(const RowSet::Vals& a, const RowSet::Vals& b) {
+  if (a.wildcard && b.wildcard) return a.region.Intersects(b.region);
+  if (a.wildcard || b.wildcard) {
+    const RowSet::Vals& wild = a.wildcard ? a : b;
+    const RowSet::Vals& pts = a.wildcard ? b : a;
+    for (const auto& enc : pts.values) {
+      if (pts.region.ContainsEncoded(enc) && wild.region.ContainsEncoded(enc)) {
+        return true;
+      }
+    }
+    return false;
+  }
+  const bool a_small = a.values.size() <= b.values.size();
+  const RowSet::Vals& small = a_small ? a : b;
+  const RowSet::Vals& big = a_small ? b : a;
+  for (const auto& enc : small.values) {
+    if (big.values.count(enc) && small.region.ContainsEncoded(enc) &&
+        big.region.ContainsEncoded(enc)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 bool RowSet::RegionIntersects(const RowSet& other) const {
   for (const auto& [col, vals] : cols) {
     auto it = other.cols.find(col);
     if (it == other.cols.end()) continue;
-    if (TypedRegionOf(vals).Intersects(TypedRegionOf(it->second))) return true;
+    if (ViewsIntersect(vals, it->second)) return true;
   }
   return false;
 }

@@ -71,7 +71,9 @@ struct RowSet {
   /// views of shared keys, so two wildcards with provably disjoint
   /// regions (e.g. id<10 vs id>=10) do NOT intersect. Sound on
   /// canonicalized sets (CanonicalizeRowSets closes regions under RI
-  /// merges) and on raw same-analyzer pairs.
+  /// merges) and on raw same-analyzer pairs. Decided by probing the
+  /// smaller side's points into the other side, without building either
+  /// view (DESIGN.md §15).
   bool RegionIntersects(const RowSet& other) const;
   bool empty() const { return cols.empty(); }
 };

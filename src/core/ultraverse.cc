@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 
 #include "applang/app_parser.h"
 #include "obs/metrics.h"
@@ -515,6 +516,7 @@ Status Ultraverse::EnsureAnalysisLocked() {
     canonical_analysis_ = raw_analysis_;
     for (auto& rw : canonical_analysis_) analyzer_.CanonicalizeRowSets(&rw);
     canonical_merge_gen_ = gen;
+    analysis_rewritten_from_ = 0;
   } else if (canonical_analysis_.size() < raw_analysis_.size()) {
     // Union-find unchanged: every existing canonical entry is still
     // canonical; only the new tail needs work (incremental maintenance,
@@ -539,6 +541,7 @@ void Ultraverse::OnPublishedLocked(const RetroOp& op) {
   raw_analysis_.resize(keep);
   footprints_.resize(std::min(footprints_.size(), keep));
   canonical_analysis_.resize(std::min(canonical_analysis_.size(), keep));
+  analysis_rewritten_from_ = std::min(analysis_rewritten_from_, keep);
   // Eager hash log: the suffix digests were dropped by the rewrite.
   // Re-baseline on the final entry with the just-adopted live tables, so
   // timeline lookups at-or-past the horizon (and dedup of future commits)
@@ -546,7 +549,7 @@ void Ultraverse::OnPublishedLocked(const RetroOp& op) {
   // between the rewrite point and the horizon have no logged digests —
   // probes there fall back to the settled prefix and read as misses.
   if (options_.eager_hash_log && log_.size() > 0) {
-    sql::LogEntry& back = log_.mutable_entries().back();
+    sql::LogEntry& back = log_.at_mutable(log_.size());
     last_hash_.clear();
     for (const auto& name : db_.TableNames()) {
       const Digest256& h = db_.FindTable(name)->table_hash().value();
@@ -580,6 +583,8 @@ Result<std::shared_ptr<const HistorySnapshot>> Ultraverse::SnapshotHistory() {
       obs::Registry::Global().counter("uv.whatif.snapshot.builds");
   static obs::Histogram* const build_us =
       obs::Registry::Global().histogram("uv.whatif.snapshot.build_us");
+  static obs::Counter* const copied_entries =
+      obs::Registry::Global().counter("uv.whatif.snapshot.copied_entries");
   builds->Inc();
   obs::TraceSpan span("whatif.snapshot", {{"horizon", log_.size()}});
   obs::ScopedLatency latency(build_us);
@@ -591,21 +596,31 @@ Result<std::shared_ptr<const HistorySnapshot>> Ultraverse::SnapshotHistory() {
   // clone is immutable from here on — concurrent analyses stage their own
   // temporaries FROM it and fault in lock-free.
   snap->db = std::shared_ptr<const sql::Database>(db_.Clone());
-  auto pinned = std::make_shared<std::vector<const sql::LogEntry*>>();
-  // The snapshot owns a *copy* of the pinned prefix, not pointers into the
-  // live deque: a publish rewrites entries in place (an add/remove even
-  // inserts or erases mid-deque, invalidating every live reference), and
-  // in-flight analyses read their pinned history lock-free. Copies are
-  // O(prefix) once per epoch and shared by every analysis at that epoch.
-  auto storage = std::make_shared<std::deque<sql::LogEntry>>(log_.entries());
-  pinned->reserve(storage->size());
-  for (const sql::LogEntry& entry : *storage) pinned->push_back(&entry);
-  snap->entry_storage = std::move(storage);
-  snap->entries = std::move(pinned);
-  snap->analysis =
-      std::make_shared<const std::vector<QueryRW>>(canonical_analysis_);
-  snap->footprints =
-      std::make_shared<const std::vector<TableFootprint>>(footprints_);
+  // The histories share every chunk of the previous snapshot's prefix that
+  // is still live history and copy the rest: O(what changed since) under
+  // the lock, not O(history). A rewrite (publish, recovery, any mutable
+  // log access, a re-canonicalization, a truncation) ends the shared
+  // prefix at its first touched position.
+  const HistorySnapshot none;
+  const HistorySnapshot& prev = snapshot_cache_ ? *snapshot_cache_ : none;
+  const size_t log_keep = std::min<size_t>(
+      {prev.entries.size(), log_.size(),
+       log_.RewrittenFrom(prev.log_rewrite_generation) - 1});
+  const size_t analysis_keep = std::min(
+      {prev.analysis.size(), canonical_analysis_.size(),
+       analysis_rewritten_from_});
+  const size_t footprints_keep = std::min(
+      {prev.footprints.size(), footprints_.size(), analysis_rewritten_from_});
+  size_t copied = 0;
+  snap->entries =
+      prev.entries.Extend(log_keep, log_.entries(), log_.size(), &copied);
+  snap->analysis = prev.analysis.Extend(analysis_keep, canonical_analysis_,
+                                        canonical_analysis_.size(), &copied);
+  snap->footprints = prev.footprints.Extend(footprints_keep, footprints_,
+                                            footprints_.size(), &copied);
+  snap->log_rewrite_generation = log_.rewrite_generation();
+  analysis_rewritten_from_ = SIZE_MAX;
+  copied_entries->Add(copied);
   auto analyzer_copy = std::make_shared<QueryAnalyzer>(analyzer_);
   // The frozen copy must not feed the live static-soundness observer.
   analyzer_copy->set_observer(nullptr);
@@ -682,6 +697,7 @@ Result<ReplayStats> Ultraverse::WhatIf(const RetroOp& op, SystemMode mode,
   whatifs->Inc();
   obs::TraceSpan span("whatif", {{"index", op.index}});
   Stopwatch analysis_watch;
+  const uint64_t analysis_cpu = obs::NowCpuMicros();
   // Pin the history (entries, analysis, footprints, analyzer) at the
   // current epoch. The engine replays against the pinned prefix while
   // regular traffic keeps committing; any commit that lands before the
@@ -692,12 +708,13 @@ Result<ReplayStats> Ultraverse::WhatIf(const RetroOp& op, SystemMode mode,
     UV_ASSIGN_OR_RETURN(snap, SnapshotHistory());
   }
   double ensure_seconds = analysis_watch.ElapsedSeconds();
+  const uint64_t ensure_cpu_us = obs::NowCpuMicros() - analysis_cpu;
 
   RetroactiveEngine::Options eopts;
   bool dep = mode == SystemMode::kD || mode == SystemMode::kTD;
   eopts.deps.column_wise = dep;
   eopts.deps.row_wise = dep;
-  eopts.deps.static_footprints = snap->footprints.get();
+  eopts.deps.static_footprints = snap->footprints.view();
   eopts.parallel = dep;
   eopts.num_threads = options_.replay_threads;
   eopts.hash_jumper = options_.hash_jumper && dep;
@@ -709,7 +726,7 @@ Result<ReplayStats> Ultraverse::WhatIf(const RetroOp& op, SystemMode mode,
   eopts.retry = ctx.retry;
   eopts.explain = options_.explain;
   eopts.forced_replay = options_.forced_replay;
-  eopts.pinned_entries = snap->entries.get();
+  eopts.pinned_entries = snap->entries.view();
   eopts.horizon_override = snap->horizon;
   eopts.snapshot_epoch = snap->epoch;
   eopts.timeline_cache = &timeline_cache_;
@@ -741,8 +758,9 @@ Result<ReplayStats> Ultraverse::WhatIf(const RetroOp& op, SystemMode mode,
                                            &rtt_counter);
         });
   }
-  UV_ASSIGN_OR_RETURN(ReplayStats stats, engine.Execute(op, *snap->analysis,
-                                                        &scratch_analyzer));
+  UV_ASSIGN_OR_RETURN(
+      ReplayStats stats,
+      engine.Execute(op, snap->analysis.view(), &scratch_analyzer));
   // Published: the live state diverged from everything derived at the old
   // epoch (snapshots, analyze-result cache, hash timelines). Advance the
   // epoch so every one of them invalidates on its next key check.
@@ -756,7 +774,8 @@ Result<ReplayStats> Ultraverse::WhatIf(const RetroOp& op, SystemMode mode,
     stats.report.mode = SystemModeName(mode);
     stats.report.phases.insert(
         stats.report.phases.begin(),
-        obs::PhaseBreakdown{"analyze", uint64_t(ensure_seconds * 1e6), 0});
+        obs::PhaseBreakdown{"analyze", uint64_t(ensure_seconds * 1e6),
+                            ensure_cpu_us});
   }
   uint64_t counted = rtt_counter.load(std::memory_order_relaxed);
   if (eopts.parallel && stats.replayed > 0) {
@@ -846,7 +865,7 @@ Result<WhatIfAnalysis> Ultraverse::WhatIfAnalyzeAt(const HistorySnapshot& snap,
   bool dep = mode == SystemMode::kD || mode == SystemMode::kTD;
   eopts.deps.column_wise = dep;
   eopts.deps.row_wise = dep;
-  eopts.deps.static_footprints = snap.footprints.get();
+  eopts.deps.static_footprints = snap.footprints.view();
   eopts.mode =
       full_naive ? ReplayMode::kFullNaive : ReplayMode::kSelective;
   eopts.parallel = dep;
@@ -862,7 +881,7 @@ Result<WhatIfAnalysis> Ultraverse::WhatIfAnalyzeAt(const HistorySnapshot& snap,
   eopts.retry = ctx.retry;
   eopts.explain = options_.explain;
   eopts.forced_replay = options_.forced_replay;
-  eopts.pinned_entries = snap.entries.get();
+  eopts.pinned_entries = snap.entries.view();
   eopts.horizon_override = snap.horizon;
   eopts.snapshot_epoch = snap.epoch;
 
@@ -890,7 +909,7 @@ Result<WhatIfAnalysis> Ultraverse::WhatIfAnalyzeAt(const HistorySnapshot& snap,
         });
   }
   WhatIfAnalysis out;
-  UV_ASSIGN_OR_RETURN(out.stats, engine.Execute(op, *snap.analysis,
+  UV_ASSIGN_OR_RETURN(out.stats, engine.Execute(op, snap.analysis.view(),
                                                 &scratch_analyzer));
   out.epoch = snap.epoch;
   out.horizon = snap.horizon;

@@ -1,7 +1,6 @@
 #ifndef ULTRAVERSE_CORE_ULTRAVERSE_H_
 #define ULTRAVERSE_CORE_ULTRAVERSE_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,6 +17,7 @@
 #include "symexec/dse.h"
 #include "transpiler/transpiler.h"
 #include "util/rng.h"
+#include "util/shared_history.h"
 #include "util/virtual_clock.h"
 
 namespace ultraverse::core {
@@ -32,25 +32,28 @@ enum class SystemMode { kB, kT, kD, kTD };
 const char* SystemModeName(SystemMode mode);
 
 /// Immutable MVCC snapshot of one history epoch (DESIGN.md §14): the full
-/// CoW-cloned database state at the snapshot horizon, pinned pointers to
-/// every committed entry up to it, the canonicalized per-entry analysis,
-/// the static table footprints, and a frozen copy of the analyzer. Built
-/// under the commit lock, then shared read-only by any number of
-/// concurrent what-if analyses while regular traffic keeps committing.
+/// CoW-cloned database state at the snapshot horizon, every committed
+/// entry up to it, the canonicalized per-entry analysis, the static table
+/// footprints, and a frozen copy of the analyzer. Built under the commit
+/// lock, then shared read-only by any number of concurrent what-if
+/// analyses while regular traffic keeps committing.
+///
+/// The three histories are structurally shared with the previous
+/// snapshot: the chunks of its unchanged prefix are reused and only what
+/// changed since is copied. A publish rewrites live entries in place (an
+/// add/remove even inserts or erases mid-deque), so a snapshot never
+/// points into the live log; it holds its own immutable copies.
 struct HistorySnapshot {
   uint64_t epoch = 0;    // history epoch this snapshot pins
   uint64_t horizon = 0;  // committed entries covered (log prefix length)
   std::shared_ptr<const sql::Database> db;
-  /// Owned copies of the pinned prefix. A what-if publish rewrites live
-  /// log entries *in place* (and an add/remove publish inserts or erases
-  /// mid-deque, which invalidates every reference into it), so pointers
-  /// into the live deque would race with lock-free in-flight analyses.
-  /// The snapshot owns its history instead; `entries` points into this.
-  std::shared_ptr<const std::deque<sql::LogEntry>> entry_storage;
-  std::shared_ptr<const std::vector<const sql::LogEntry*>> entries;
-  std::shared_ptr<const std::vector<QueryRW>> analysis;
-  std::shared_ptr<const std::vector<TableFootprint>> footprints;
+  SharedHistory<sql::LogEntry> entries;  // log indices [1, horizon]
+  SharedHistory<QueryRW> analysis;       // canonical; [i] is entry i+1
+  SharedHistory<TableFootprint> footprints;
   std::shared_ptr<const QueryAnalyzer> analyzer;
+  /// QueryLog::rewrite_generation() when this snapshot was built: the next
+  /// snapshot shares `entries` up to the first entry rewritten since.
+  uint64_t log_rewrite_generation = 0;
 };
 
 /// Per-request execution context (session-scoped robustness knobs). Every
@@ -228,8 +231,9 @@ class Ultraverse {
   uint64_t history_epoch() const { return log_.epoch(); }
 
   /// Returns the shared immutable snapshot of the current history epoch,
-  /// building it (full CoW clone + analysis catch-up) only when the epoch
-  /// advanced since the last call. Any number of threads may analyze
+  /// building it (CoW clone + analysis catch-up + the entries, analysis
+  /// and footprints changed since the previous snapshot) only when the
+  /// epoch advanced since the last call. Any number of threads may analyze
   /// against the returned snapshot concurrently; writers are blocked only
   /// while the snapshot itself is built.
   Result<std::shared_ptr<const HistorySnapshot>> SnapshotHistory();
@@ -340,6 +344,10 @@ class Ultraverse {
   // merged-RI generation holds, rebuilt wholesale when a merge lands.
   std::vector<QueryRW> canonical_analysis_;
   uint64_t canonical_merge_gen_ = 0;
+  // Lowest position of canonical_analysis_ / footprints_ rewritten (not
+  // appended) since snapshot_cache_ was built: the next snapshot shares
+  // the cached snapshot's chunks below it. Guarded by commit_mu_.
+  size_t analysis_rewritten_from_ = 0;
 
   // Last logged hash per table (eager hash logging).
   std::map<std::string, Digest256> last_hash_;

@@ -1,5 +1,7 @@
 #include "sqldb/query_log.h"
 
+#include <algorithm>
+
 namespace ultraverse::sql {
 
 uint64_t QueryLog::Append(LogEntry entry) {
@@ -9,6 +11,14 @@ uint64_t QueryLog::Append(LogEntry entry) {
   // epoch also observes the appended entry (release pairs with epoch()).
   BumpEpoch();
   return entries_.back().index;
+}
+
+uint64_t QueryLog::RewrittenFrom(uint64_t generation) const {
+  uint64_t from = entries_.size() + 1;
+  for (size_t g = generation; g < rewrite_from_.size(); ++g) {
+    from = std::min(from, rewrite_from_[g]);
+  }
+  return from;
 }
 
 size_t QueryLog::MySqlStyleBytes() const {

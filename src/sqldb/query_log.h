@@ -53,14 +53,17 @@ class QueryLog {
   uint64_t Append(LogEntry entry);
 
   const std::deque<LogEntry>& entries() const { return entries_; }
-  std::deque<LogEntry>& mutable_entries() {
-    BumpEpoch();
+  /// In-place access to committed entries for a rewrite that leaves
+  /// entries before index `rewrite_from` (1-based) untouched; the default
+  /// declares the whole log rewritten.
+  std::deque<LogEntry>& mutable_entries(uint64_t rewrite_from = 1) {
+    NoteRewrite(rewrite_from);
     return entries_;
   }
   size_t size() const { return entries_.size(); }
   const LogEntry& at(uint64_t index) const { return entries_[index - 1]; }
   LogEntry& at_mutable(uint64_t index) {
-    BumpEpoch();
+    NoteRewrite(index);
     return entries_[index - 1];
   }
   uint64_t last_index() const { return entries_.size(); }
@@ -76,6 +79,16 @@ class QueryLog {
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
   void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
 
+  /// In-place rewrite generation: advances on every mutable access to
+  /// committed entries, never on Append (unlike the epoch). Structurally
+  /// shared snapshots (DESIGN.md §14) compare it to decide whether the
+  /// prefix they already copied is still the live history.
+  uint64_t rewrite_generation() const { return rewrite_from_.size(); }
+  /// Lowest 1-based index any in-place rewrite since generation
+  /// `generation` may have touched; size()+1 when there was none, so
+  /// entries [1, RewrittenFrom(g)) are exactly as they were at g.
+  uint64_t RewrittenFrom(uint64_t generation) const;
+
   /// Byte size a MySQL-style binary log would use: statement text plus a
   /// fixed per-event header (MySQL binlog v4 events carry a 19-byte common
   /// header plus query-event metadata; we charge 60 bytes, matching the
@@ -89,8 +102,17 @@ class QueryLog {
   Result<size_t> Recover(const std::string& path);
 
  private:
+  /// Bumps the epoch and records one rewrite starting at `from`.
+  void NoteRewrite(uint64_t from) {
+    BumpEpoch();
+    rewrite_from_.push_back(from);
+  }
+
   std::deque<LogEntry> entries_;
   std::atomic<uint64_t> epoch_{0};
+  /// rewrite_from_[g]: first index touched by rewrite generation g+1 (one
+  /// word per in-place rewrite; publishes and recoveries are rare).
+  std::vector<uint64_t> rewrite_from_;
 };
 
 }  // namespace ultraverse::sql

@@ -446,7 +446,7 @@ TEST(PrefilterTest, PlanIdenticalWithAndWithoutFootprints) {
     const QueryRW& target_rw = (**analysis)[target - 1];
 
     core::DependencyOptions with, without;
-    with.static_footprints = &footprints;
+    with.static_footprints = footprints;
     core::ReplayPlan a = core::ComputeReplayPlan(
         **analysis, target, target_rw, /*target_occupies_slot=*/true, with);
     core::ReplayPlan b =

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ultraverse.h"
 #include "fault/failpoint.h"
 #include "obs/explain.h"
 #include "obs/flight_recorder.h"
@@ -100,6 +101,30 @@ TEST(ExplainReport, TotalsReconcileWithReplayStats) {
   for (const auto& p : report.phases) names.push_back(p.name);
   EXPECT_EQ(names, (std::vector<std::string>{"plan", "stage", "replay",
                                              "publish"}));
+}
+
+// The facade's analyze phase (analysis catch-up of the not-yet-analyzed log
+// suffix plus the snapshot build) is measured like every engine phase,
+// wall and CPU; its CPU used to be stamped as a literal 0.
+TEST(ExplainReport, FacadeAnalyzePhaseRecordsCpu) {
+  core::Ultraverse uv;
+  ASSERT_TRUE(
+      uv.ExecuteSql("CREATE TABLE t (id INT PRIMARY KEY, v INT)").ok());
+  for (int i = 1; i <= 200; ++i) {
+    ASSERT_TRUE(uv.ExecuteSql(i <= 20 ? "INSERT INTO t (id, v) VALUES (" +
+                                            std::to_string(i) + ", 0)"
+                                      : "UPDATE t SET v = v + 1 WHERE id = " +
+                                            std::to_string(1 + i % 20))
+                    .ok());
+  }
+  auto stats = uv.WhatIf(RemoveOp(30), core::SystemMode::kTD);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const auto& phases = stats->report.phases;
+  ASSERT_FALSE(phases.empty());
+  EXPECT_EQ(phases.front().name, "analyze");
+  EXPECT_GT(phases.front().wall_us, 0u);
+  EXPECT_GT(phases.front().cpu_us, 0u)
+      << "analyzing 200 uncovered commits costs CPU";
 }
 
 TEST(ExplainReport, HandBuiltHistoryVerdicts) {

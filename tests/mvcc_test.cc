@@ -10,6 +10,7 @@
 #include <atomic>
 #include <memory>
 #include <shared_mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "oracle/oracle.h"
 #include "sqldb/database.h"
 #include "sqldb/exec_engine.h"
+#include "workloads/workload.h"
 
 namespace ultraverse::core {
 namespace {
@@ -267,7 +269,7 @@ TEST(MvccSnapshotTest, SnapshotReusedUntilEpochAdvances) {
   EXPECT_GT((*s3)->epoch, (*s1)->epoch);
   EXPECT_EQ((*s3)->horizon, (*s1)->horizon + 1);
   // The old snapshot is frozen: its pinned view never sees the new commit.
-  EXPECT_EQ((*s1)->entries->size(), (*s1)->horizon);
+  EXPECT_EQ((*s1)->entries.size(), (*s1)->horizon);
 }
 
 TEST(MvccSnapshotTest, AnalyzeOnlyLeavesLiveStateUntouched) {
@@ -468,6 +470,221 @@ TEST(MvccPublishTest, PublishAdvancesEpochAndInvalidatesSnapshots) {
   ASSERT_TRUE(post.ok());
   EXPECT_NE(post->get(), pre->get())
       << "pre-publish snapshot must not be served after the rewrite";
+}
+
+// --- Structurally shared snapshots -----------------------------------------
+
+// What a snapshot pins for one log entry, rendered for comparison: the
+// statement, its recorded nondeterminism and captured procedure variables.
+std::string EntryKey(const sql::LogEntry& e) {
+  std::string s = std::to_string(e.index) + "|" + e.sql + "|nondet:";
+  for (const auto& v : e.nondet.values) s += v.Encode() + ",";
+  for (int64_t id : e.nondet.auto_inc_ids) s += std::to_string(id) + ",";
+  s += "|vars:";
+  for (const auto& [name, vals] : e.captured_vars) {
+    s += name + "=";
+    for (const auto& v : vals) s += v.Encode() + ",";
+    s += ";";
+  }
+  return s;
+}
+
+std::string RowSetKey(const RowSet& rs) {
+  std::string s;
+  for (const auto& [col, vals] : rs.cols) {
+    s += col + (vals.wildcard ? "*" : "") + "{";
+    for (const auto& v : vals.values) s += v + ",";
+    s += "}" + vals.region.ToString() + ";";
+  }
+  return s;
+}
+
+std::string AnalysisKey(const QueryRW& rw) {
+  std::string s = "rc:";
+  for (const auto& c : rw.rc.items) s += c + ",";
+  s += "|wc:";
+  for (const auto& c : rw.wc.items) s += c + ",";
+  s += "|rr:" + RowSetKey(rw.rr) + "|wr:" + RowSetKey(rw.wr) + "|rt:";
+  for (const auto& t : rw.read_tables) s += t + ",";
+  s += "|wt:";
+  for (const auto& t : rw.write_tables) s += t + ",";
+  s += rw.is_ddl ? "|ddl" : "";
+  s += rw.overwrites ? "|ow" : "";
+  return s;
+}
+
+std::string FootprintKey(const TableFootprint& fp) {
+  std::string s = fp.universal ? "*" : "";
+  for (const auto& t : fp.tables) s += t + ",";
+  return s;
+}
+
+struct SnapshotDump {
+  std::vector<std::string> entries, analysis, footprints;
+};
+
+SnapshotDump Dump(const HistorySnapshot& snap) {
+  SnapshotDump d;
+  for (size_t i = 0; i < snap.entries.size(); ++i) {
+    d.entries.push_back(EntryKey(snap.entries[i]));
+  }
+  for (size_t i = 0; i < snap.analysis.size(); ++i) {
+    d.analysis.push_back(AnalysisKey(snap.analysis[i]));
+  }
+  for (size_t i = 0; i < snap.footprints.size(); ++i) {
+    d.footprints.push_back(FootprintKey(snap.footprints[i]));
+  }
+  return d;
+}
+
+void ExpectSameDump(const SnapshotDump& got, const SnapshotDump& want) {
+  EXPECT_EQ(got.entries, want.entries);
+  EXPECT_EQ(got.analysis, want.analysis);
+  EXPECT_EQ(got.footprints, want.footprints);
+}
+
+// (a) Snapshots taken every 47 commits share chunks with their
+// predecessors and extend the last one in place; the final one must equal
+// a snapshot built in one go over the same history. TATP in T mode records
+// captured procedure variables and alias-RI lookups, so every pinned field
+// carries data.
+TEST(MvccSharedSnapshotTest, RebuildAfterCommitsEqualsFreshBuild) {
+  workload::Driver::Config config;
+  config.commit_mode = SystemMode::kT;
+  Ultraverse incremental;
+  workload::Driver d1(workload::MakeWorkload("tatp", 1), &incremental,
+                      config);
+  ASSERT_TRUE(d1.Setup().ok());
+  for (int round = 0; round < 12; ++round) {
+    ASSERT_TRUE(d1.RunHistory(47).ok());
+    ASSERT_TRUE(incremental.SnapshotHistory().ok());
+  }
+  Ultraverse fresh;
+  workload::Driver d2(workload::MakeWorkload("tatp", 1), &fresh, config);
+  ASSERT_TRUE(d2.Setup().ok());
+  ASSERT_TRUE(d2.RunHistory(12 * 47).ok());
+
+  auto inc = incremental.SnapshotHistory();
+  auto ref = fresh.SnapshotHistory();
+  ASSERT_TRUE(inc.ok() && ref.ok());
+  ASSERT_GT((*ref)->horizon, 2 * kHistoryChunkSize)
+      << "the history must span several chunks";
+  EXPECT_EQ((*inc)->horizon, (*ref)->horizon);
+  SnapshotDump got = Dump(**inc);
+  ExpectSameDump(got, Dump(**ref));
+  bool any_vars = false;
+  for (size_t i = 0; i < (*inc)->entries.size(); ++i) {
+    any_vars = any_vars || !(*inc)->entries[i].captured_vars.empty();
+  }
+  EXPECT_TRUE(any_vars) << "T-mode TATP commits capture procedure variables";
+}
+
+// A 300-entry history on one keyed table: spans two chunks.
+void CommitKeyedHistory(Ultraverse* uv, int updates) {
+  ASSERT_TRUE(
+      uv->ExecuteSql("CREATE TABLE t (id INT PRIMARY KEY, v INT)").ok());
+  for (int i = 1; i <= 20; ++i) {
+    ASSERT_TRUE(uv->ExecuteSql("INSERT INTO t (id, v) VALUES (" +
+                               std::to_string(i) + ", 0)")
+                    .ok());
+  }
+  for (int i = 0; i < updates; ++i) {
+    ASSERT_TRUE(uv->ExecuteSql("UPDATE t SET v = v + 1 WHERE id = " +
+                               std::to_string(1 + i % 20))
+                    .ok());
+  }
+}
+
+// The live history rendered like a snapshot, analyzed from scratch.
+SnapshotDump LiveDump(Ultraverse* uv) {
+  SnapshotDump d;
+  for (const auto& e : uv->log()->entries()) d.entries.push_back(EntryKey(e));
+  auto analysis = uv->EnsureAnalysis();
+  EXPECT_TRUE(analysis.ok());
+  for (const auto& rw : **analysis) {
+    d.analysis.push_back(AnalysisKey(rw));
+    d.footprints.push_back(FootprintKey(FootprintOf(rw)));
+  }
+  return d;
+}
+
+// (b) A snapshot pinned before a publish that shifts the suffix keeps its
+// history bit for bit; the next snapshot sees the rewritten history.
+TEST(MvccSharedSnapshotTest, PinnedSnapshotSurvivesSuffixShiftingPublishes) {
+  Ultraverse uv;
+  CommitKeyedHistory(&uv, 280);
+  for (RetroOp::Kind kind : {RetroOp::Kind::kRemove, RetroOp::Kind::kAdd}) {
+    auto pinned = uv.SnapshotHistory();
+    ASSERT_TRUE(pinned.ok());
+    const SnapshotDump before = Dump(**pinned);
+    ASSERT_EQ(before.entries.size(), uv.log()->size());
+
+    auto op = uv.MakeOp(kind, 270, kind == RetroOp::Kind::kAdd
+                                       ? "UPDATE t SET v = v + 9 WHERE id = 3"
+                                       : "");
+    ASSERT_TRUE(op.ok());
+    auto stats = uv.WhatIf(*op, SystemMode::kTD);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+
+    ExpectSameDump(Dump(**pinned), before);
+    auto next = uv.SnapshotHistory();
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ((*next)->horizon,
+              before.entries.size() + (kind == RetroOp::Kind::kAdd ? 1 : -1));
+    SnapshotDump after = Dump(**next);
+    ExpectSameDump(after, LiveDump(&uv));
+    EXPECT_NE(after.entries, before.entries);
+  }
+}
+
+// (b) An RI merge re-canonicalizes every analyzed entry: the pinned
+// snapshot keeps the old canonical sets, the next one has the new ones.
+TEST(MvccSharedSnapshotTest, PinnedSnapshotSurvivesRecanonicalization) {
+  Ultraverse uv;
+  CommitKeyedHistory(&uv, 280);
+  auto pinned = uv.SnapshotHistory();
+  ASSERT_TRUE(pinned.ok());
+  const SnapshotDump before = Dump(**pinned);
+
+  // UPDATE SET id = v2 WHERE id = v1 merges RI values 1 and 1000 (§4.3).
+  ASSERT_TRUE(uv.ExecuteSql("UPDATE t SET id = 1000 WHERE id = 1").ok());
+  auto next = uv.SnapshotHistory();
+  ASSERT_TRUE(next.ok());
+
+  ExpectSameDump(Dump(**pinned), before);
+  SnapshotDump after = Dump(**next);
+  ExpectSameDump(after, LiveDump(&uv));
+  // Entry 2 inserted row 1, whose canonical key is now shared with 1000.
+  EXPECT_NE(after.analysis[1], before.analysis[1]);
+}
+
+// (c) Rebuilding after k commits copies O(k) history elements, not
+// O(history): one log entry, one analysis record and one footprint each.
+TEST(MvccSharedSnapshotTest, RebuildCopiesOnlyNewEntries) {
+  obs::Counter* copied =
+      obs::Registry::Global().counter("uv.whatif.snapshot.copied_entries");
+  Ultraverse uv;
+  CommitKeyedHistory(&uv, 4000);
+  const uint64_t c0 = copied->Value();
+  ASSERT_TRUE(uv.SnapshotHistory().ok());
+  const uint64_t first_build = copied->Value() - c0;
+  EXPECT_GE(first_build, 3 * uv.log()->size()) << "a first build copies all";
+
+  for (int k : {1, 10, 300}) {
+    for (int i = 0; i < k; ++i) {
+      ASSERT_TRUE(uv.ExecuteSql("UPDATE t SET v = v - 1 WHERE id = " +
+                                std::to_string(1 + i % 20))
+                      .ok());
+    }
+    const uint64_t c1 = copied->Value();
+    auto snap = uv.SnapshotHistory();
+    ASSERT_TRUE(snap.ok());
+    EXPECT_EQ(copied->Value() - c1, 3u * k) << "after " << k << " commits";
+    EXPECT_EQ((*snap)->horizon, uv.log()->size());
+  }
+  auto last = uv.SnapshotHistory();
+  ASSERT_TRUE(last.ok());
+  ExpectSameDump(Dump(**last), LiveDump(&uv));
 }
 
 // --- Concurrent end-to-end oracle (satellite 4) ------------------------------

@@ -24,6 +24,7 @@
 #include "oracle/oracle.h"
 #include "sqldb/parser.h"
 #include "sqldb/value.h"
+#include "util/rng.h"
 
 namespace ultraverse::analysis {
 namespace {
@@ -334,6 +335,141 @@ TEST(RowSetRegionTest, LegacyProducersStaySound) {
   EXPECT_FALSE(view.Contains(Value::Int(4)));
   legacy.AddWildcard("t.id");
   EXPECT_TRUE(RowSet::TypedRegionOf(legacy.cols.at("t.id")).IsTop());
+}
+
+// --- probe-based intersection vs the materialized reference -----------------
+
+// The materialized decision RowSet::RegionIntersects and
+// ValueRegion::Intersects used to make: build each side's typed view, meet
+// them, and test the meet for emptiness (with the ∅/⊤ short-cuts). Kept
+// here as the reference the allocation-free probes must agree with.
+bool ReferenceIntersects(const ValueRegion& a, const ValueRegion& b) {
+  if (a.IsEmptySet() || b.IsEmptySet()) return false;
+  if (a.IsTop() || b.IsTop()) return true;
+  return !a.MeetWith(b).IsEmptySet();
+}
+
+ValueRegion ReferenceView(const RowSet::Vals& v) {
+  if (v.wildcard) return v.region;
+  return ValueRegion::OfPoints(v.values).MeetWith(v.region);
+}
+
+bool ReferenceRowSetIntersects(const RowSet& a, const RowSet& b) {
+  for (const auto& [col, vals] : a.cols) {
+    auto it = b.cols.find(col);
+    if (it == b.cols.end()) continue;
+    if (ReferenceIntersects(ReferenceView(vals), ReferenceView(it->second))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Mixed Int/Double/String/NULL values; Int(3) and Double(3.0) share one
+// canonical encoding but stay distinct as interval bounds.
+Value RandomValue(Rng* rng) {
+  switch (rng->UniformInt(0, 5)) {
+    case 0: return Value::Null();
+    case 1: return Value::String(rng->Bernoulli(0.5) ? "a" : "b");
+    case 2: return Value::Double(double(rng->UniformInt(0, 6)) + 0.5);
+    case 3: return Value::Double(double(rng->UniformInt(0, 6)));
+    default: return Value::Int(rng->UniformInt(0, 6));
+  }
+}
+
+// An encoding Value::Decode rejects: members of every non-empty interval
+// set by ContainsEncoded's conservative rule.
+const char kUndecodable[] = "Zjunk";
+
+std::string RandomEncoding(Rng* rng) {
+  if (rng->Bernoulli(0.08)) return kUndecodable;
+  return RandomValue(rng).Encode();
+}
+
+ValueRegion RandomRegion(Rng* rng) {
+  const int64_t shape = rng->UniformInt(0, 9);
+  if (shape == 0) return ValueRegion::Top();
+  if (shape == 1) return ValueRegion::EmptySet();
+  ValueRegion r = ValueRegion::EmptySet();
+  for (int64_t i = rng->UniformInt(0, 3); i > 0; --i) {
+    r.points.insert(RandomEncoding(rng));
+  }
+  for (int64_t i = rng->UniformInt(0, 2); i > 0; --i) {
+    ValueInterval iv;
+    if (rng->Bernoulli(0.8)) iv.lo = RandomValue(rng);
+    if (rng->Bernoulli(0.8)) iv.hi = RandomValue(rng);
+    iv.lo_incl = rng->Bernoulli(0.5);
+    iv.hi_incl = rng->Bernoulli(0.5);
+    r.intervals.push_back(std::move(iv));
+  }
+  return r;
+}
+
+RowSet::Vals RandomVals(Rng* rng) {
+  RowSet::Vals v;
+  v.wildcard = rng->Bernoulli(0.35);
+  if (!v.wildcard) {
+    for (int64_t i = rng->UniformInt(0, 4); i > 0; --i) {
+      v.values.insert(RandomEncoding(rng));
+    }
+  }
+  v.region = RandomRegion(rng);
+  return v;
+}
+
+RowSet RandomRowSet(Rng* rng) {
+  RowSet rs;
+  if (rng->Bernoulli(0.85)) rs.cols["t.id"] = RandomVals(rng);
+  if (rng->Bernoulli(0.3)) rs.cols["u.id"] = RandomVals(rng);
+  return rs;
+}
+
+TEST(RegionProbeTest, ValueRegionIntersectsMatchesMaterializedMeet) {
+  Rng rng(20261017);
+  int hits = 0;
+  for (int n = 0; n < 20000; ++n) {
+    ValueRegion a = RandomRegion(&rng);
+    ValueRegion b = RandomRegion(&rng);
+    const bool want = ReferenceIntersects(a, b);
+    ASSERT_EQ(a.Intersects(b), want)
+        << "case " << n << ": " << a.ToString() << " vs " << b.ToString();
+    ASSERT_EQ(b.Intersects(a), want) << "case " << n << " (swapped)";
+    hits += want;
+  }
+  // Both answers must be well represented for the agreement to mean much.
+  EXPECT_GT(hits, 2000);
+  EXPECT_LT(hits, 18000);
+}
+
+TEST(RegionProbeTest, RowSetRegionIntersectsMatchesMaterializedViews) {
+  Rng rng(7);
+  int hits = 0, wild_pairs = 0, point_pairs = 0, mixed_pairs = 0;
+  for (int n = 0; n < 20000; ++n) {
+    RowSet a = RandomRowSet(&rng);
+    RowSet b = RandomRowSet(&rng);
+    const bool want = ReferenceRowSetIntersects(a, b);
+    ASSERT_EQ(a.RegionIntersects(b), want) << "case " << n;
+    ASSERT_EQ(b.RegionIntersects(a), want) << "case " << n << " (swapped)";
+    hits += want;
+    auto ia = a.cols.find("t.id");
+    auto ib = b.cols.find("t.id");
+    if (ia != a.cols.end() && ib != b.cols.end()) {
+      const int wild = int(ia->second.wildcard) + int(ib->second.wildcard);
+      wild_pairs += wild == 2;
+      point_pairs += wild == 0;
+      mixed_pairs += wild == 1;
+    }
+    // The materialized view itself is unchanged too.
+    for (const auto& [col, vals] : a.cols) {
+      EXPECT_EQ(RowSet::TypedRegionOf(vals).ToString(),
+                ReferenceView(vals).ToString());
+    }
+  }
+  EXPECT_GT(hits, 2000);
+  EXPECT_LT(hits, 18000);
+  EXPECT_GT(wild_pairs, 1000);
+  EXPECT_GT(point_pairs, 1000);
+  EXPECT_GT(mixed_pairs, 1000);
 }
 
 TEST_F(DynamicRegionTest, CanonicalizationClosesRegionsOverMergedValues) {
