@@ -26,9 +26,10 @@
 #    crash sweep (fuzz_whatif --server-crash) arming failpoints on every
 #    wire-path edge (DESIGN.md §16).
 # 2. asan  — AddressSanitizer build running the observability + oracle +
-#    fault + vm + explain + mvcc + server labels (the suites that exercise
-#    the threaded replay/staging, WAL recovery, compiled-execution,
-#    provenance, and network paths).
+#    analysis + fault + vm + explain + mvcc + server labels (the suites
+#    that exercise the threaded replay/staging, the R/W walk in both its
+#    environments, WAL recovery, compiled-execution, provenance, and
+#    network paths).
 # 3. tsan  — same labels under ThreadSanitizer, plus the concurrent
 #    what-if smoke (the MVCC layer's race detector) and the multi-client
 #    server smoke + wire crash sweep (the dispatcher/worker-pool race
@@ -98,11 +99,11 @@ run_plain() {
 }
 
 run_sanitized() {  # $1 = address|thread, $2 = build dir
-  echo "== $1 sanitizer: obs+oracle+fault+vm+explain+mvcc+predicate+server =="
+  echo "== $1 sanitizer: obs+oracle+analysis+fault+vm+explain+mvcc+predicate+server =="
   cmake -B "$2" -S . -DULTRA_SANITIZE="$1"
   cmake --build "$2" -j "$JOBS"
   ctest --test-dir "$2" --output-on-failure -j "$JOBS" \
-    -L 'obs|oracle|fault|vm|explain|mvcc|predicate|server'
+    -L 'obs|oracle|analysis|fault|vm|explain|mvcc|predicate|server'
   if [ "$1" = thread ]; then
     # The concurrent analyst-vs-writer fuzz is the MVCC layer's real race
     # detector: N what-if analyses against shared snapshots while writers

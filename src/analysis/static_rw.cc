@@ -1,766 +1,6 @@
 #include "analysis/static_rw.h"
 
-#include <algorithm>
-#include <optional>
-
-#include "core/predicate.h"
-#include "util/nondet_builtins.h"
-#include "util/string_util.h"
-
 namespace ultraverse::analysis {
-
-namespace {
-using core::SchemaRegistry;
-using sql::Expr;
-using sql::ExprKind;
-using sql::SelectStatement;
-using sql::Statement;
-using sql::StatementKind;
-using sql::Value;
-
-// ---------------------------------------------------------------------------
-// StaticWalk
-// ---------------------------------------------------------------------------
-//
-// A deliberate case-by-case mirror of the dynamic AnalyzerImpl
-// (core/rw_sets.cc). Keeping the two walks structurally parallel is what
-// makes the containment argument (DESIGN.md §10) checkable: every
-// divergence between the implementations is a runtime-resolution site,
-// and at each such site this walk widens (variable values dropped,
-// captured values dropped, alias maps dropped, auto-increment ids
-// dropped — all become wildcards). The walk also collects the lint facts
-// the dynamic side has no use for: nested DDL, nondet builtins, writes to
-// columns missing from the schema.
-class StaticWalk {
- public:
-  StaticWalk(SchemaRegistry* reg,
-             const std::map<std::string, core::QueryAnalyzer::RiConfig>*
-                 ri_overrides,
-             StaticSummary* out)
-      : reg_(reg), ri_overrides_(ri_overrides), out_(&out->rw), sum_(out) {}
-
-  Status Analyze(const Statement& stmt) {
-    switch (stmt.kind) {
-      case StatementKind::kCreateTable:
-      case StatementKind::kAlterTable:
-      case StatementKind::kDropTable:
-      case StatementKind::kTruncateTable:
-      case StatementKind::kCreateView:
-      case StatementKind::kDropView:
-      case StatementKind::kCreateIndex:
-      case StatementKind::kCreateProcedure:
-      case StatementKind::kDropProcedure:
-      case StatementKind::kCreateTrigger:
-      case StatementKind::kDropTrigger:
-        out_->is_ddl = true;
-        out_->overwrites = true;
-        break;
-      default:
-        break;
-    }
-    return AnalyzeStmt(stmt, /*depth=*/0);
-  }
-
-  /// Entry point for procedure summaries: the body with parameters bound
-  /// as (value-less) variables.
-  Status AnalyzeProcedureBody(const sql::CreateProcedureStatement& proc) {
-    for (const auto& p : proc.params) vars_.insert(p.name);
-    return AnalyzeBody(proc.body, /*depth=*/1);
-  }
-
- private:
-  /// Variable *names* in scope. Values are never tracked: a variable is
-  /// statically unknown even when declared with a literal initializer,
-  /// because a WHILE-less reassignment path could still be cheap to get
-  /// wrong — wildcarding costs only precision. What must match the
-  /// dynamic walk exactly is the name set and its save/restore scoping,
-  /// since CollectColumns drops bare columns shadowed by variables.
-  using Vars = std::set<std::string>;
-
-  static constexpr int kMaxDepth = 16;
-
-  void ReadSchema(const std::string& name) {
-    out_->rc.Add("_S." + name);
-    out_->rr.AddWildcard("_S." + name);
-    if (reg_->FindTable(name)) out_->read_tables.insert(name);
-  }
-  void WriteSchema(const std::string& name) {
-    out_->wc.Add("_S." + name);
-    out_->wr.AddWildcard("_S." + name);
-    out_->write_tables.insert(name);
-  }
-
-  void MarkDdl() {
-    sum_->has_ddl = true;
-    out_->is_ddl = true;  // nested DDL widens: dynamic marks top-level only
-    out_->overwrites = true;
-  }
-
-  void ApplyRiOverride(const std::string& table) {
-    if (!ri_overrides_) return;
-    auto it = ri_overrides_->find(table);
-    if (it == ri_overrides_->end()) return;
-    reg_->SetRiColumn(table, it->second.ri_column);
-    auto* info = reg_->FindTableMutable(table);
-    if (info) info->ri_aliases = it->second.aliases;
-  }
-
-  /// Literal-only constant folding: the subset of the dynamic ConstEval
-  /// that needs no variable bindings, with identical fold semantics —
-  /// wherever both sides resolve, they resolve to the same Value.
-  std::optional<Value> ConstEval(const Expr& e) {
-    switch (e.kind) {
-      case ExprKind::kLiteral:
-        return e.literal;
-      case ExprKind::kBinary: {
-        auto l = ConstEval(*e.children[0]);
-        auto r = ConstEval(*e.children[1]);
-        if (!l || !r) return std::nullopt;
-        const Value& a = *l;
-        const Value& b = *r;
-        if (a.is_null() || b.is_null()) return Value::Null();
-        switch (e.binary_op) {
-          case sql::BinaryOp::kAdd:
-            if (a.type() == sql::DataType::kInt &&
-                b.type() == sql::DataType::kInt) {
-              return Value::Int(a.AsInt() + b.AsInt());
-            }
-            return Value::Double(a.AsDouble() + b.AsDouble());
-          case sql::BinaryOp::kSub:
-            if (a.type() == sql::DataType::kInt &&
-                b.type() == sql::DataType::kInt) {
-              return Value::Int(a.AsInt() - b.AsInt());
-            }
-            return Value::Double(a.AsDouble() - b.AsDouble());
-          case sql::BinaryOp::kMul:
-            if (a.type() == sql::DataType::kInt &&
-                b.type() == sql::DataType::kInt) {
-              return Value::Int(a.AsInt() * b.AsInt());
-            }
-            return Value::Double(a.AsDouble() * b.AsDouble());
-          default:
-            return std::nullopt;
-        }
-      }
-      case ExprKind::kFuncCall:
-        if (e.func_name == "CONCAT") {
-          std::string s;
-          for (const auto& child : e.children) {
-            auto v = ConstEval(*child);
-            if (!v) return std::nullopt;
-            s += v->ToDisplayString();
-          }
-          return Value::String(std::move(s));
-        }
-        return std::nullopt;
-      default:
-        // kVarRef / kColumnRef: runtime-resolution sites — unknown here.
-        return std::nullopt;
-    }
-  }
-
-  /// Recursive nondet-builtin scan for expressions the RW walk never
-  /// visits (variable initializers, CALL arguments). Touches only the
-  /// lint facts, never the RW sets.
-  void NoteNondet(const Expr& e) {
-    if (e.kind == ExprKind::kFuncCall &&
-        nondet::IsSqlNondetBuiltin(e.func_name)) {
-      sum_->nondet_builtins.insert(e.func_name);
-    }
-    if (e.kind == ExprKind::kSubquery && e.subquery) {
-      NoteNondetSelect(*e.subquery);
-    }
-    for (const auto& child : e.children) NoteNondet(*child);
-  }
-  void NoteNondetSelect(const SelectStatement& sel) {
-    for (const auto& item : sel.items) NoteNondet(*item.expr);
-    for (const auto& join : sel.joins) {
-      if (join.on) NoteNondet(*join.on);
-    }
-    if (sel.where) NoteNondet(*sel.where);
-    for (const auto& g : sel.group_by) NoteNondet(*g);
-    if (sel.having) NoteNondet(*sel.having);
-    for (const auto& o : sel.order_by) NoteNondet(*o.expr);
-  }
-
-  std::string ResolveColumnTable(
-      const Expr& col, const std::vector<std::pair<std::string, std::string>>&
-                           sources) {
-    if (!col.table.empty()) {
-      for (const auto& [alias, table] : sources) {
-        if (EqualsIgnoreCase(alias, col.table)) return table;
-      }
-      return col.table;
-    }
-    for (const auto& [alias, table] : sources) {
-      (void)alias;
-      const auto* info = reg_->FindTable(table);
-      if (!info) continue;
-      for (const auto& c : info->columns) {
-        if (EqualsIgnoreCase(c.name, col.column)) return table;
-      }
-    }
-    return "";
-  }
-
-  void CollectColumns(
-      const Expr& e,
-      const std::vector<std::pair<std::string, std::string>>& sources) {
-    if (e.kind == ExprKind::kFuncCall &&
-        nondet::IsSqlNondetBuiltin(e.func_name)) {
-      sum_->nondet_builtins.insert(e.func_name);
-    }
-    if (e.kind == ExprKind::kColumnRef) {
-      if (e.table.empty() && vars_.count(e.column)) return;  // variable
-      std::string table = ResolveColumnTable(e, sources);
-      if (!table.empty()) {
-        out_->rc.Add(table + "." + e.column);
-      } else {
-        for (const auto& [alias, t] : sources) {
-          (void)alias;
-          out_->rc.Add(t + "." + e.column);
-        }
-      }
-      return;
-    }
-    if (e.kind == ExprKind::kSubquery && e.subquery) {
-      AnalyzeSelectRead(*e.subquery);
-      return;
-    }
-    for (const auto& child : e.children) CollectColumns(*child, sources);
-  }
-
-  /// Literal-only RI extraction: resolves the same AND/OR/Eq/IN shapes as
-  /// the dynamic version, but alias columns and variable-valued
-  /// comparisons always widen to nullopt (wildcard). Whenever this
-  /// returns a concrete set, the dynamic extraction over the same
-  /// predicate returns a subset of it (same fold on the literal sides;
-  /// every side this pass fails to resolve only narrows the dynamic
-  /// result under AND or is widened to wildcard here under OR).
-  std::optional<std::set<std::string>> ExtractRiValues(
-      const Expr* where, const std::string& table,
-      const SchemaRegistry::TableInfo& info) {
-    if (!where) return std::nullopt;
-    switch (where->kind) {
-      case ExprKind::kBinary: {
-        if (where->binary_op == sql::BinaryOp::kAnd) {
-          auto l = ExtractRiValues(where->children[0].get(), table, info);
-          auto r = ExtractRiValues(where->children[1].get(), table, info);
-          if (l && r) {
-            std::set<std::string> isect;
-            for (const auto& v : *l) {
-              if (r->count(v)) isect.insert(v);
-            }
-            return isect;
-          }
-          if (l) return l;
-          return r;
-        }
-        if (where->binary_op == sql::BinaryOp::kOr) {
-          auto l = ExtractRiValues(where->children[0].get(), table, info);
-          auto r = ExtractRiValues(where->children[1].get(), table, info);
-          if (l && r) {
-            l->insert(r->begin(), r->end());
-            return l;
-          }
-          return std::nullopt;
-        }
-        if (where->binary_op == sql::BinaryOp::kEq) {
-          const Expr* col = where->children[0].get();
-          const Expr* val = where->children[1].get();
-          if (col->kind != ExprKind::kColumnRef) std::swap(col, val);
-          if (col->kind != ExprKind::kColumnRef) return std::nullopt;
-          if (!col->table.empty() && !EqualsIgnoreCase(col->table, table)) {
-            return std::nullopt;
-          }
-          if (!EqualsIgnoreCase(col->column, info.ri_column)) {
-            // Alias RI columns need the learned alias→RI map: wildcard.
-            return std::nullopt;
-          }
-          auto v = ConstEval(*val);
-          if (!v) return std::nullopt;
-          return std::set<std::string>{v->Encode()};
-        }
-        return std::nullopt;
-      }
-      case ExprKind::kInList: {
-        const Expr* col = where->children[0].get();
-        if (col->kind != ExprKind::kColumnRef ||
-            !EqualsIgnoreCase(col->column, info.ri_column)) {
-          return std::nullopt;
-        }
-        std::set<std::string> vals;
-        for (size_t i = 1; i < where->children.size(); ++i) {
-          auto v = ConstEval(*where->children[i]);
-          if (!v) return std::nullopt;
-          vals.insert(v->Encode());
-        }
-        return vals;
-      }
-      default:
-        return std::nullopt;
-    }
-  }
-
-  /// Static predicate region (DESIGN.md §15): the shared extraction
-  /// skeleton with literal-only folds and no alias translation. Every
-  /// hook here widens at least as much as its dynamic twin, so the
-  /// dynamic region is contained in this one node-by-node.
-  core::ValueRegion ExtractRegion(const Expr* where, const std::string& table,
-                                  const SchemaRegistry::TableInfo& info) {
-    core::PredicateEvalFn eval =
-        [this](const Expr& e) -> std::optional<std::vector<Value>> {
-      auto v = ConstEval(e);
-      if (!v) return std::nullopt;
-      return std::vector<Value>{*v};
-    };
-    core::PredicateAliasFn alias_lookup =
-        [](const std::string&,
-           const Value&) -> std::optional<std::set<std::string>> {
-      return std::nullopt;  // no learned alias maps statically: widen
-    };
-    return core::ExtractPredicateRegion(where, table, info.ri_column,
-                                        info.ri_aliases, eval, alias_lookup);
-  }
-
-  void AddRiReads(const std::string& table, const Expr* where) {
-    const auto* info = reg_->FindTable(table);
-    ReadSchema(table);
-    out_->read_tables.insert(table);
-    if (!info || info->ri_column.empty()) {
-      out_->rr.AddWildcard(table + ".__row");
-      return;
-    }
-    std::string key = table + "." + info->ri_column;
-    out_->rr.AddConstrained(key, ExtractRiValues(where, table, *info),
-                            ExtractRegion(where, table, *info));
-  }
-
-  void AddRiWrites(const std::string& table, const Expr* where) {
-    const auto* info = reg_->FindTable(table);
-    out_->write_tables.insert(table);
-    if (!info || info->ri_column.empty()) {
-      out_->wr.AddWildcard(table + ".__row");
-      return;
-    }
-    std::string key = table + "." + info->ri_column;
-    out_->wr.AddConstrained(key, ExtractRiValues(where, table, *info),
-                            ExtractRegion(where, table, *info));
-  }
-
-  void AnalyzeSelectRead(const SelectStatement& sel) {
-    std::vector<std::pair<std::string, std::string>> sources;
-    auto add_source = [&](const std::string& name, const std::string& alias) {
-      if (const auto* view = reg_->FindView(name)) {
-        out_->rc.Add("_S." + name);
-        out_->rr.AddWildcard("_S." + name);
-        AnalyzeSelectRead(**view);
-        return;
-      }
-      sources.emplace_back(alias.empty() ? name : alias, name);
-    };
-    if (!sel.from_table.empty()) add_source(sel.from_table, sel.from_alias);
-    for (const auto& join : sel.joins) add_source(join.table, join.alias);
-
-    for (const auto& [alias, table] : sources) {
-      (void)alias;
-      AddRiReads(table, sel.where.get());
-      const auto* info = reg_->FindTable(table);
-      if (info) {
-        for (const auto& fk : info->foreign_keys) {
-          out_->rc.Add(fk.ref_table + "." + fk.ref_column);
-          out_->read_tables.insert(fk.ref_table);
-          out_->rr.AddWildcard("_S." + fk.ref_table);
-        }
-      }
-    }
-    for (const auto& item : sel.items) {
-      if (item.expr->kind == ExprKind::kStar) {
-        for (const auto& [alias, table] : sources) {
-          (void)alias;
-          const auto* info = reg_->FindTable(table);
-          if (!info) continue;
-          for (const auto& c : info->columns) {
-            out_->rc.Add(table + "." + c.name);
-          }
-        }
-        continue;
-      }
-      CollectColumns(*item.expr, sources);
-    }
-    for (const auto& join : sel.joins) {
-      if (join.on) CollectColumns(*join.on, sources);
-    }
-    if (sel.where) CollectColumns(*sel.where, sources);
-    for (const auto& g : sel.group_by) CollectColumns(*g, sources);
-    if (sel.having) CollectColumns(*sel.having, sources);
-    for (const auto& o : sel.order_by) CollectColumns(*o.expr, sources);
-  }
-
-  std::string ResolveWriteTarget(const std::string& name) {
-    if (const auto* view = reg_->FindView(name)) {
-      ReadSchema(name);
-      out_->wc.Add("_S." + name);
-      if (!(*view)->from_table.empty()) return (*view)->from_table;
-    }
-    return name;
-  }
-
-  void MergeTriggerBodies(const std::string& table, sql::TriggerEvent event,
-                          int depth) {
-    for (const auto* trig : reg_->TriggersOn(table, event)) {
-      ReadSchema(trig->name);
-      Vars saved = vars_;
-      const auto* info = reg_->FindTable(table);
-      if (info) {
-        for (const auto& c : info->columns) {
-          vars_.insert("NEW." + c.name);
-          vars_.insert("OLD." + c.name);
-        }
-      }
-      for (const auto& stmt : trig->body) {
-        (void)AnalyzeStmt(*stmt, depth + 1);
-      }
-      vars_ = std::move(saved);
-    }
-  }
-
-  void NoteDeadColumnWrite(const SchemaRegistry::TableInfo& info,
-                           const std::string& table,
-                           const std::string& column) {
-    for (const auto& c : info.columns) {
-      if (EqualsIgnoreCase(c.name, column)) return;
-    }
-    sum_->dead_column_writes.push_back(table + "." + column);
-  }
-
-  Status AnalyzeStmt(const Statement& stmt, int depth) {
-    if (depth > kMaxDepth) return Status::Internal("analysis depth limit");
-    switch (stmt.kind) {
-      case StatementKind::kCreateTable: {
-        const auto& schema = stmt.create_table.schema;
-        ReadSchema(schema.name);
-        WriteSchema(schema.name);
-        for (const auto& fk : schema.foreign_keys) {
-          ReadSchema(fk.ref_table);
-        }
-        MarkDdl();
-        reg_->ApplyDdl(stmt);
-        ApplyRiOverride(schema.name);
-        return Status::OK();
-      }
-      case StatementKind::kAlterTable:
-        ReadSchema(stmt.alter_table.table);
-        WriteSchema(stmt.alter_table.table);
-        MarkDdl();
-        reg_->ApplyDdl(stmt);
-        return Status::OK();
-      case StatementKind::kDropTable:
-      case StatementKind::kTruncateTable: {
-        const std::string& name = stmt.kind == StatementKind::kDropTable
-                                      ? stmt.drop_name
-                                      : stmt.truncate_table;
-        ReadSchema(name);
-        WriteSchema(name);
-        MarkDdl();
-        reg_->ApplyDdl(stmt);
-        return Status::OK();
-      }
-      case StatementKind::kCreateView: {
-        ReadSchema(stmt.create_view.name);
-        WriteSchema(stmt.create_view.name);
-        if (!stmt.create_view.select->from_table.empty()) {
-          ReadSchema(stmt.create_view.select->from_table);
-        }
-        for (const auto& join : stmt.create_view.select->joins) {
-          ReadSchema(join.table);
-        }
-        MarkDdl();
-        reg_->ApplyDdl(stmt);
-        return Status::OK();
-      }
-      case StatementKind::kDropView:
-      case StatementKind::kDropProcedure:
-        ReadSchema(stmt.drop_name);
-        WriteSchema(stmt.drop_name);
-        MarkDdl();
-        reg_->ApplyDdl(stmt);
-        return Status::OK();
-      case StatementKind::kDropTrigger:
-        ReadSchema(stmt.drop_name);
-        WriteSchema(stmt.drop_name);
-        if (const auto* trg = reg_->FindTrigger(stmt.drop_name)) {
-          WriteSchema(trg->table);
-        }
-        MarkDdl();
-        reg_->ApplyDdl(stmt);
-        return Status::OK();
-      case StatementKind::kCreateIndex:
-        ReadSchema(stmt.create_index.table);
-        WriteSchema(stmt.create_index.table);
-        MarkDdl();
-        return Status::OK();
-      case StatementKind::kCreateProcedure:
-        ReadSchema(stmt.create_procedure.name);
-        WriteSchema(stmt.create_procedure.name);
-        MarkDdl();
-        reg_->ApplyDdl(stmt);
-        return Status::OK();
-      case StatementKind::kCreateTrigger:
-        ReadSchema(stmt.create_trigger.name);
-        WriteSchema(stmt.create_trigger.name);
-        WriteSchema(stmt.create_trigger.table);
-        MarkDdl();
-        reg_->ApplyDdl(stmt);
-        return Status::OK();
-
-      case StatementKind::kSelect:
-        AnalyzeSelectRead(*stmt.select);
-        return Status::OK();
-
-      case StatementKind::kInsert: {
-        std::string table = ResolveWriteTarget(stmt.insert.table);
-        const auto* info = reg_->FindTable(table);
-        ReadSchema(table);
-        out_->read_tables.insert(table);
-        out_->write_tables.insert(table);
-        if (stmt.insert.select) AnalyzeSelectRead(*stmt.insert.select);
-        if (!info) return Status::OK();
-
-        for (const auto& c : info->columns) {
-          out_->wc.Add(table + "." + c.name);
-          if (c.auto_increment) out_->rc.Add(table + "." + c.name);
-        }
-        for (const auto& col : stmt.insert.columns) {
-          NoteDeadColumnWrite(*info, table, col);
-        }
-        for (const auto& fk : info->foreign_keys) {
-          out_->rc.Add(fk.ref_table + "." + fk.ref_column);
-          out_->read_tables.insert(fk.ref_table);
-        }
-
-        if (info->ri_column.empty()) {
-          out_->wr.AddWildcard(table + ".__row");
-          for (const auto& row : stmt.insert.rows) {
-            for (const auto& e : row) CollectColumns(*e, {});
-          }
-        } else {
-          std::string key = table + "." + info->ri_column;
-          int ri_idx = -1;
-          std::vector<std::string> cols = stmt.insert.columns;
-          if (cols.empty()) {
-            for (const auto& c : info->columns) cols.push_back(c.name);
-          }
-          for (size_t i = 0; i < cols.size(); ++i) {
-            if (EqualsIgnoreCase(cols[i], info->ri_column)) ri_idx = int(i);
-          }
-          for (const auto& row : stmt.insert.rows) {
-            std::optional<Value> ri_val;
-            if (ri_idx >= 0 && ri_idx < int(row.size())) {
-              ri_val = ConstEval(*row[ri_idx]);
-              // NULL means "assign an auto-increment id": the dynamic
-              // walk concretizes from the nondet record; here any row.
-              if (ri_val && ri_val->is_null()) ri_val = std::nullopt;
-            }
-            if (ri_val) {
-              out_->wr.AddValue(key, ri_val->Encode());
-            } else {
-              out_->wr.AddWildcard(key);
-            }
-            for (const auto& e : row) CollectColumns(*e, {});
-          }
-          if (stmt.insert.select) out_->wr.AddWildcard(key);
-        }
-        MergeTriggerBodies(table, sql::TriggerEvent::kInsert, depth);
-        return Status::OK();
-      }
-
-      case StatementKind::kUpdate: {
-        std::string table = ResolveWriteTarget(stmt.update.table);
-        const auto* info = reg_->FindTable(table);
-        ReadSchema(table);
-        out_->overwrites = true;
-        std::vector<std::pair<std::string, std::string>> sources = {
-            {table, table}};
-        for (const auto& [col, e] : stmt.update.assignments) {
-          out_->wc.Add(table + "." + col);
-          if (info) NoteDeadColumnWrite(*info, table, col);
-          CollectColumns(*e, sources);
-          if (info) {
-            for (const auto& ref : reg_->TablesReferencing(table)) {
-              const auto* ref_info = reg_->FindTable(ref);
-              if (!ref_info) continue;
-              for (const auto& fk : ref_info->foreign_keys) {
-                if (fk.ref_table == table &&
-                    EqualsIgnoreCase(fk.ref_column, col)) {
-                  out_->wc.Add(ref + "." + fk.column);
-                  out_->write_tables.insert(ref);
-                  const auto* ri = reg_->FindTable(ref);
-                  if (ri && !ri->ri_column.empty()) {
-                    out_->wr.AddWildcard(ref + "." + ri->ri_column);
-                  }
-                }
-              }
-            }
-          }
-        }
-        if (stmt.update.where) CollectColumns(*stmt.update.where, sources);
-        AddRiReads(table, stmt.update.where.get());
-        AddRiWrites(table, stmt.update.where.get());
-        out_->read_tables.insert(table);
-
-        if (info && !info->ri_column.empty()) {
-          std::string key = table + "." + info->ri_column;
-          for (const auto& [col, e] : stmt.update.assignments) {
-            if (!EqualsIgnoreCase(col, info->ri_column)) continue;
-            auto new_v = ConstEval(*e);
-            if (new_v) {
-              // Same concrete value the dynamic fold produces; no merged-
-              // RI Union here (the union-find is dynamic state).
-              out_->wr.AddValue(key, new_v->Encode());
-            } else {
-              out_->wr.AddWildcard(key);
-            }
-          }
-        }
-        MergeTriggerBodies(table, sql::TriggerEvent::kUpdate, depth);
-        return Status::OK();
-      }
-
-      case StatementKind::kDelete: {
-        std::string table = ResolveWriteTarget(stmt.del.table);
-        const auto* info = reg_->FindTable(table);
-        ReadSchema(table);
-        out_->overwrites = true;
-        if (info) {
-          for (const auto& c : info->columns) {
-            out_->wc.Add(table + "." + c.name);
-          }
-        }
-        std::vector<std::pair<std::string, std::string>> sources = {
-            {table, table}};
-        if (stmt.del.where) CollectColumns(*stmt.del.where, sources);
-        AddRiReads(table, stmt.del.where.get());
-        AddRiWrites(table, stmt.del.where.get());
-        for (const auto& ref : reg_->TablesReferencing(table)) {
-          const auto* ref_info = reg_->FindTable(ref);
-          if (!ref_info) continue;
-          for (const auto& fk : ref_info->foreign_keys) {
-            if (fk.ref_table == table) out_->wc.Add(ref + "." + fk.column);
-          }
-          out_->wr.AddWildcard(ref_info->ri_column.empty()
-                                   ? ref + ".__row"
-                                   : ref + "." + ref_info->ri_column);
-          out_->write_tables.insert(ref);
-        }
-        MergeTriggerBodies(table, sql::TriggerEvent::kDelete, depth);
-        return Status::OK();
-      }
-
-      case StatementKind::kCall: {
-        const auto* proc = reg_->FindProcedure(stmt.call.procedure);
-        ReadSchema(stmt.call.procedure);
-        for (const auto& a : stmt.call.args) NoteNondet(*a);
-        if (!proc) return Status::OK();
-        // Parameters abstracted to wildcards: only the bound *names*
-        // matter, and only as many as the call supplies (mirroring the
-        // dynamic walk's min(params, args) binding).
-        Vars saved = vars_;
-        for (size_t i = 0;
-             i < proc->params.size() && i < stmt.call.args.size(); ++i) {
-          vars_.insert(proc->params[i].name);
-        }
-        Status st = AnalyzeBody(proc->body, depth + 1);
-        vars_ = std::move(saved);
-        return st;
-      }
-
-      case StatementKind::kTransaction:
-        return AnalyzeBody(stmt.transaction.statements, depth + 1);
-
-      case StatementKind::kDeclareVar:
-        if (stmt.declare_var.init) NoteNondet(*stmt.declare_var.init);
-        vars_.insert(stmt.declare_var.name);
-        return Status::OK();
-      case StatementKind::kSetVar:
-        NoteNondet(*stmt.set_var.value);
-        vars_.insert(stmt.set_var.name);
-        return Status::OK();
-
-      case StatementKind::kIf: {
-        // All-paths merge: every branch contributes to one summary.
-        for (const auto& branch : stmt.if_stmt.branches) {
-          if (branch.condition) CollectColumns(*branch.condition, {});
-          Vars saved = vars_;
-          UV_RETURN_NOT_OK(AnalyzeBody(branch.body, depth + 1));
-          vars_ = std::move(saved);
-        }
-        return Status::OK();
-      }
-      case StatementKind::kWhile: {
-        CollectColumns(*stmt.while_stmt.condition, {});
-        MarkAssignedUnknown(stmt.while_stmt.body);
-        return AnalyzeBody(stmt.while_stmt.body, depth + 1);
-      }
-      case StatementKind::kLeave:
-      case StatementKind::kSignal:
-        return Status::OK();
-    }
-    return Status::OK();
-  }
-
-  Status AnalyzeBody(const std::vector<sql::StatementPtr>& body, int depth) {
-    for (const auto& stmt : body) {
-      UV_RETURN_NOT_OK(AnalyzeStmt(*stmt, depth));
-      if (stmt->kind == StatementKind::kSelect) {
-        for (const auto& var : stmt->select->into_vars) {
-          vars_.insert(var);
-        }
-      }
-    }
-    return Status::OK();
-  }
-
-  void MarkAssignedUnknown(const std::vector<sql::StatementPtr>& body) {
-    for (const auto& stmt : body) {
-      switch (stmt->kind) {
-        case StatementKind::kSetVar:
-          vars_.insert(stmt->set_var.name);
-          break;
-        case StatementKind::kDeclareVar:
-          vars_.insert(stmt->declare_var.name);
-          break;
-        case StatementKind::kSelect:
-          for (const auto& var : stmt->select->into_vars) {
-            vars_.insert(var);
-          }
-          break;
-        case StatementKind::kIf:
-          for (const auto& branch : stmt->if_stmt.branches) {
-            MarkAssignedUnknown(branch.body);
-          }
-          break;
-        case StatementKind::kWhile:
-          MarkAssignedUnknown(stmt->while_stmt.body);
-          break;
-        default:
-          break;
-      }
-    }
-  }
-
-  SchemaRegistry* reg_;
-  const std::map<std::string, core::QueryAnalyzer::RiConfig>* ri_overrides_;
-  core::QueryRW* out_;
-  StaticSummary* sum_;
-  Vars vars_;
-};
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// StaticAnalyzer
-// ---------------------------------------------------------------------------
 
 StaticAnalyzer::StaticAnalyzer() = default;
 
@@ -770,13 +10,12 @@ StaticAnalyzer::StaticAnalyzer(const core::SchemaRegistry* follow)
 void StaticAnalyzer::SetRiOverride(const std::string& table,
                                    const std::string& ri_column,
                                    std::vector<std::string> aliases) {
-  ri_overrides_[table] =
-      core::QueryAnalyzer::RiConfig{ri_column, std::move(aliases)};
+  ri_overrides_[table] = core::RiConfig{ri_column, std::move(aliases)};
   procedure_cache_.clear();
 }
 
 void StaticAnalyzer::SyncRiOverrides(
-    const std::map<std::string, core::QueryAnalyzer::RiConfig>& configs) {
+    const std::map<std::string, core::RiConfig>& configs) {
   if (ri_overrides_ == configs) return;
   ri_overrides_ = configs;
   procedure_cache_.clear();
@@ -786,8 +25,8 @@ Result<StaticSummary> StaticAnalyzer::Summarize(
     const sql::Statement& stmt) const {
   StaticSummary sum;
   core::SchemaRegistry scratch = registry();  // intra-statement DDL visible
-  StaticWalk walk(&scratch, &ri_overrides_, &sum);
-  UV_RETURN_NOT_OK(walk.Analyze(stmt));
+  UV_RETURN_NOT_OK(
+      core::AnalyzeStatic(stmt, &scratch, ri_overrides_, &sum.rw, &sum));
   sum.footprint = core::FootprintOf(sum.rw);
   return sum;
 }
@@ -799,8 +38,8 @@ Result<StaticSummary> StaticAnalyzer::AnalyzeNext(const sql::Statement& stmt) {
         "read-only)");
   }
   StaticSummary sum;
-  StaticWalk walk(&owned_, &ri_overrides_, &sum);
-  UV_RETURN_NOT_OK(walk.Analyze(stmt));
+  UV_RETURN_NOT_OK(
+      core::AnalyzeStatic(stmt, &owned_, ri_overrides_, &sum.rw, &sum));
   sum.footprint = core::FootprintOf(sum.rw);
   if (sum.has_ddl) procedure_cache_.clear();
   return sum;
@@ -814,8 +53,8 @@ Result<const StaticSummary*> StaticAnalyzer::ProcedureSummary(
   if (!proc) return Status::NotFound("unknown procedure " + name);
   StaticSummary sum;
   core::SchemaRegistry scratch = registry();
-  StaticWalk walk(&scratch, &ri_overrides_, &sum);
-  UV_RETURN_NOT_OK(walk.AnalyzeProcedureBody(*proc));
+  UV_RETURN_NOT_OK(core::AnalyzeProcedureStatic(*proc, &scratch,
+                                                ri_overrides_, &sum.rw, &sum));
   sum.footprint = core::FootprintOf(sum.rw);
   auto [pos, inserted] = procedure_cache_.emplace(name, std::move(sum));
   (void)inserted;

@@ -2,8 +2,6 @@
 #define ULTRAVERSE_ANALYSIS_STATIC_RW_H_
 
 #include <map>
-#include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -16,43 +14,22 @@ namespace ultraverse::analysis {
 /// All-paths static over-approximation of one statement's (or procedure
 /// body's) read/write behaviour: the same ColumnSet/RowSet shapes the
 /// dynamic analyzer emits (§4.2–4.3), computed without any runtime
-/// information. The soundness invariant is containment — for every
-/// execution of the statement, the dynamic QueryRW is a subset of `rw`
-/// (see soundness.h and DESIGN.md §10 for the argument).
-struct StaticSummary {
+/// information, plus the lint facts (has_ddl, nondet_builtins,
+/// dead_column_writes) of core::StaticFacts. The soundness invariant is
+/// containment — for every execution of the statement, the dynamic
+/// QueryRW is a subset of `rw` (see soundness.h and DESIGN.md §10).
+struct StaticSummary : core::StaticFacts {
   core::QueryRW rw;
 
   /// Table-level projection of `rw`, for the planner pre-filter.
   core::TableFootprint footprint;
-
-  /// True when the statement contains DDL anywhere, including nested in a
-  /// procedure body reached through CALL — a Hash-jumper hazard the lint
-  /// pass reports (dynamic is_ddl only marks top-level DDL).
-  bool has_ddl = false;
-
-  /// Nondeterministic SQL builtins referenced anywhere in the statement
-  /// (upper-cased names from util/nondet_builtins.h).
-  std::set<std::string> nondet_builtins;
-
-  /// "Table.column" writes naming columns absent from the table's current
-  /// schema — dead branches writing dropped columns, or typos.
-  std::vector<std::string> dead_column_writes;
 };
 
-/// Static RW-summary inference over sqldb ASTs. The walk deliberately
-/// mirrors the dynamic analyzer (core/rw_sets.cc AnalyzerImpl) statement
-/// case by statement case, with every runtime-resolution site replaced by
-/// its sound static abstraction:
-///
-///   - procedure variables and parameters carry no values — only their
-///     *names* are tracked, with the exact scoping the dynamic walk uses,
-///     so bare-column-vs-variable disambiguation is identical;
-///   - constant folding covers literals only (same fold semantics as the
-///     dynamic ConstEval on variable-free expressions), so wherever the
-///     static pass resolves a concrete RI value the dynamic pass resolves
-///     the *same* value;
-///   - captured variables, nondet records, auto-increment ids and learned
-///     alias→RI maps all degrade to wildcards.
+/// Static RW-summary inference over sqldb ASTs: thin entry points to the
+/// one R/W walk (core::AnalyzeStatic), which runs here in its static
+/// environment — variables carry names only, and captured values, nondet
+/// records, auto-increment ids and learned alias→RI maps are absent, so
+/// each of those sites widens to a wildcard (DESIGN.md §10).
 ///
 /// Two modes:
 ///   - owned (default ctor): the analyzer evolves its own SchemaRegistry
@@ -75,16 +52,15 @@ class StaticAnalyzer {
   void SetRiOverride(const std::string& table, const std::string& ri_column,
                      std::vector<std::string> aliases = {});
   /// Replaces all overrides with the dynamic analyzer's current set.
-  void SyncRiOverrides(
-      const std::map<std::string, core::QueryAnalyzer::RiConfig>& configs);
+  void SyncRiOverrides(const std::map<std::string, core::RiConfig>& configs);
 
   /// Static summary of one statement against the current registry state.
   /// Does not mutate the analyzer (the walk runs on a scratch copy).
   Result<StaticSummary> Summarize(const sql::Statement& stmt) const;
 
   /// Owned mode only: summarizes `stmt` while evolving the owned registry
-  /// through any DDL it contains, mirroring how the dynamic analyzer's
-  /// registry evolves entry by entry.
+  /// through any DDL it contains, like the dynamic analyzer's registry
+  /// evolves entry by entry.
   Result<StaticSummary> AnalyzeNext(const sql::Statement& stmt);
 
   /// Cached all-paths summary of a stored procedure's body, parameters
@@ -102,7 +78,7 @@ class StaticAnalyzer {
  private:
   core::SchemaRegistry owned_;
   const core::SchemaRegistry* follow_ = nullptr;
-  std::map<std::string, core::QueryAnalyzer::RiConfig> ri_overrides_;
+  std::map<std::string, core::RiConfig> ri_overrides_;
   std::map<std::string, StaticSummary> procedure_cache_;
 };
 

@@ -272,7 +272,8 @@ ValueRegion IntervalsFor(BinaryOp op, const std::vector<Value>& candidates) {
 
 }  // namespace
 
-ValueRegion ExtractPredicateRegion(const Expr* where, const std::string& table,
+ValueRegion ExtractPredicateRegion(const Expr* where,
+                                   const RiColumnScope& scope,
                                    const std::string& ri_column,
                                    const std::vector<std::string>& ri_aliases,
                                    const PredicateEvalFn& eval,
@@ -283,19 +284,19 @@ ValueRegion ExtractPredicateRegion(const Expr* where, const std::string& table,
       const BinaryOp op = where->binary_op;
       if (op == BinaryOp::kAnd) {
         ValueRegion l =
-            ExtractPredicateRegion(where->children[0].get(), table, ri_column,
+            ExtractPredicateRegion(where->children[0].get(), scope, ri_column,
                                    ri_aliases, eval, alias_lookup);
         ValueRegion r =
-            ExtractPredicateRegion(where->children[1].get(), table, ri_column,
+            ExtractPredicateRegion(where->children[1].get(), scope, ri_column,
                                    ri_aliases, eval, alias_lookup);
         return l.MeetWith(r);
       }
       if (op == BinaryOp::kOr) {
         ValueRegion l =
-            ExtractPredicateRegion(where->children[0].get(), table, ri_column,
+            ExtractPredicateRegion(where->children[0].get(), scope, ri_column,
                                    ri_aliases, eval, alias_lookup);
         ValueRegion r =
-            ExtractPredicateRegion(where->children[1].get(), table, ri_column,
+            ExtractPredicateRegion(where->children[1].get(), scope, ri_column,
                                    ri_aliases, eval, alias_lookup);
         l.MergeWith(r);
         return l;
@@ -309,8 +310,7 @@ ValueRegion ExtractPredicateRegion(const Expr* where, const std::string& table,
           std::swap(col, val);
           eff = FlipComparison(op);
         }
-        if (col->kind != ExprKind::kColumnRef) return ValueRegion::Top();
-        if (!col->table.empty() && !EqualsIgnoreCase(col->table, table)) {
+        if (col->kind != ExprKind::kColumnRef || !scope.Binds(*col)) {
           return ValueRegion::Top();
         }
         auto candidates = eval(*val);
@@ -341,7 +341,7 @@ ValueRegion ExtractPredicateRegion(const Expr* where, const std::string& table,
     }
     case ExprKind::kInList: {
       const Expr* col = where->children[0].get();
-      if (col->kind != ExprKind::kColumnRef ||
+      if (col->kind != ExprKind::kColumnRef || !scope.Binds(*col) ||
           !EqualsIgnoreCase(col->column, ri_column)) {
         return ValueRegion::Top();
       }

@@ -6,10 +6,12 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sqldb/ast.h"
 #include "sqldb/value.h"
+#include "util/string_util.h"
 
 namespace ultraverse::core {
 
@@ -100,31 +102,49 @@ struct ValueRegion {
   std::string ToString(size_t max_items = SIZE_MAX) const;
 };
 
-/// Hook resolving an expression to its candidate constant values: the
-/// dynamic analyzer plugs MultiEval (literal folds + procedure variable
-/// bindings + captured parameter values), the static analyzer its
-/// literal-only ConstEval. nullopt = unresolvable (widen to ⊤). Whenever
-/// the static hook resolves, the dynamic hook resolves the same single
-/// value — the fold semantics are shared — which makes the extracted
-/// dynamic region a subset of the static one at every AST node.
+/// Hook resolving an expression to its candidate constant values: the R/W
+/// walk's MultiEval (literal folds + procedure variable bindings +
+/// captured parameter values in the concrete environment, literal folds
+/// only in the static one). nullopt = unresolvable (widen to ⊤). Whenever
+/// the static hook resolves, the concrete hook resolves the same single
+/// value — it is the same fold — which makes the extracted dynamic region
+/// a subset of the static one at every AST node.
 using PredicateEvalFn =
     std::function<std::optional<std::vector<sql::Value>>(const sql::Expr&)>;
 
 /// Hook translating one alias-RI column value to the set of RI-key
 /// encodings it denotes. nullopt = unknown (widen to ⊤). The static
-/// analyzer always returns nullopt (it has no learned alias maps).
+/// environment always returns nullopt (it has no learned alias maps).
 using PredicateAliasFn = std::function<std::optional<std::set<std::string>>(
     const std::string& alias_column, const sql::Value& value)>;
 
-/// Extracts the symbolic predicate region of `where` restricted to
-/// `table`'s RI column: equality points and IN lists (via `eval`),
-/// typed half-open ranges from </<=/>/>= (BETWEEN parses to AND of
-/// those), AND as meet, OR as join. Everything else — joins, aliases
-/// under ranges, nondeterministic builtins, subqueries — widens to ⊤.
-/// Shared by the dynamic and static analyzers so their regions stay
-/// pointwise comparable (dynamic ⊆ static).
+/// Which column references of a WHERE clause bind to the one FROM/JOIN
+/// source whose rows are being constrained. A qualified reference binds
+/// when it names `qualifier` (the source's alias, or its table when
+/// unaliased; empty when another source shares that name). A bare one
+/// binds only when `bare` holds: no other source of the statement could
+/// own the name. Anything else says nothing about this source's rows.
+struct RiColumnScope {
+  std::string_view qualifier;
+  bool bare = true;
+
+  bool Binds(const sql::Expr& col) const {
+    return col.table.empty()
+               ? bare
+               : !qualifier.empty() && EqualsIgnoreCase(col.table, qualifier);
+  }
+};
+
+/// Extracts the symbolic predicate region of `where` restricted to the RI
+/// column of the source `scope` describes: equality points and IN lists
+/// (via `eval`), typed half-open ranges from </<=/>/>= (BETWEEN parses to
+/// AND of those), AND as meet, OR as join. Everything else — columns bound
+/// to other sources, aliases under ranges, nondeterministic builtins,
+/// subqueries — widens to ⊤. The R/W walk calls it in both environments,
+/// so static and dynamic regions stay pointwise comparable (dynamic ⊆
+/// static).
 ValueRegion ExtractPredicateRegion(const sql::Expr* where,
-                                   const std::string& table,
+                                   const RiColumnScope& scope,
                                    const std::string& ri_column,
                                    const std::vector<std::string>& ri_aliases,
                                    const PredicateEvalFn& eval,

@@ -5,6 +5,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/nondet_builtins.h"
 #include "util/string_util.h"
 
 namespace ultraverse::core {
@@ -364,43 +365,93 @@ void QueryAnalyzer::Union(const std::string& a, const std::string& b) {
 // Per-statement analysis
 // ---------------------------------------------------------------------------
 
-/// Walks one statement (recursively through procedures, transactions and
-/// triggers) and fills a QueryRW following the Appendix A policy tables.
+namespace {
+
+/// Applies the RI override configured for `table`, if any.
+void ApplyRiOverride(const std::map<std::string, RiConfig>& overrides,
+                     const std::string& table, SchemaRegistry* reg) {
+  auto it = overrides.find(table);
+  if (it == overrides.end()) return;
+  reg->SetRiColumn(table, it->second.ri_column);
+  auto* info = reg->FindTableMutable(table);
+  if (info) info->ri_aliases = it->second.aliases;
+}
+
+bool IsDdl(StatementKind kind) {
+  switch (kind) {
+    case StatementKind::kCreateTable:
+    case StatementKind::kAlterTable:
+    case StatementKind::kDropTable:
+    case StatementKind::kTruncateTable:
+    case StatementKind::kCreateView:
+    case StatementKind::kDropView:
+    case StatementKind::kCreateIndex:
+    case StatementKind::kCreateProcedure:
+    case StatementKind::kDropProcedure:
+    case StatementKind::kCreateTrigger:
+    case StatementKind::kDropTrigger:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+/// The R/W walk: one statement (recursively through procedures,
+/// transactions and triggers) into a QueryRW following the Appendix A
+/// policy tables. It runs in one of two environments (DESIGN.md §10):
+///
+///   - concrete (`owner_` set): variable values, the entry's captured_vars,
+///     the nondet record's auto-increment ids, and the owning analyzer's
+///     learned alias→RI map and merged-RI union-find;
+///   - static (`owner_` null): none of these, so each such site widens —
+///     variables are bound by name with no value, MultiEval is ConstEval,
+///     alias RI columns and auto-increment keys are wildcards, nothing is
+///     learned or merged, and nested DDL marks is_ddl. Only this
+///     environment records StaticFacts, and only when given a struct.
+///
+/// Every other step is shared, which is why the static result contains
+/// every dynamic one.
 class AnalyzerImpl {
  public:
+  /// Concrete environment.
   AnalyzerImpl(QueryAnalyzer* owner, const sql::NondetRecord* nondet,
                const std::map<std::string, std::vector<Value>>* captured =
                    nullptr)
       : owner_(owner),
         reg_(&owner->registry_),
+        ri_overrides_(&owner->ri_overrides_),
         nondet_(nondet),
         captured_(captured) {}
 
+  /// Static environment.
+  AnalyzerImpl(SchemaRegistry* reg,
+               const std::map<std::string, RiConfig>* ri_overrides,
+               StaticFacts* facts)
+      : reg_(reg), ri_overrides_(ri_overrides), facts_(facts) {}
+
   Status Analyze(const Statement& stmt, QueryRW* out) {
     out_ = out;
-    switch (stmt.kind) {
-      case StatementKind::kCreateTable:
-      case StatementKind::kAlterTable:
-      case StatementKind::kDropTable:
-      case StatementKind::kTruncateTable:
-      case StatementKind::kCreateView:
-      case StatementKind::kDropView:
-      case StatementKind::kCreateIndex:
-      case StatementKind::kCreateProcedure:
-      case StatementKind::kDropProcedure:
-      case StatementKind::kCreateTrigger:
-      case StatementKind::kDropTrigger:
-        out->is_ddl = true;
-        out->overwrites = true;  // catalog state is replaced, not created
-        break;
-      default:
-        break;
+    if (IsDdl(stmt.kind)) {
+      out->is_ddl = true;
+      out->overwrites = true;  // catalog state is replaced, not created
     }
     return AnalyzeStmt(stmt, /*depth=*/0);
   }
 
+  /// Static entry for procedure summaries: the body with every parameter
+  /// bound.
+  Status AnalyzeProcedureBody(const sql::CreateProcedureStatement& proc,
+                              QueryRW* out) {
+    out_ = out;
+    for (const auto& p : proc.params) vars_[p.name] = std::nullopt;
+    return AnalyzeBody(proc.body, /*depth=*/1);
+  }
+
  private:
   using VarMap = std::map<std::string, std::optional<Value>>;
+  using Sources = std::vector<std::pair<std::string, std::string>>;
 
   static constexpr int kMaxDepth = 16;
 
@@ -415,6 +466,43 @@ class AnalyzerImpl {
     out_->wc.Add("_S." + name);
     out_->wr.AddWildcard("_S." + name);
     out_->write_tables.insert(name);
+  }
+
+  /// Value a variable takes from `e`: folded in the concrete environment;
+  /// the static one binds the name only.
+  std::optional<Value> Bind(const Expr& e) {
+    if (!owner_) return std::nullopt;
+    return ConstEval(e);
+  }
+
+  /// Nondeterministic builtins in expressions the walk never collects
+  /// columns from (variable initializers, CALL arguments).
+  void NoteNondet(const Expr& e) {
+    if (e.kind == ExprKind::kFuncCall &&
+        nondet::IsSqlNondetBuiltin(e.func_name)) {
+      facts_->nondet_builtins.insert(e.func_name);
+    }
+    if (e.kind == ExprKind::kSubquery && e.subquery) {
+      const SelectStatement& sel = *e.subquery;
+      for (const auto& item : sel.items) NoteNondet(*item.expr);
+      for (const auto& join : sel.joins) {
+        if (join.on) NoteNondet(*join.on);
+      }
+      if (sel.where) NoteNondet(*sel.where);
+      for (const auto& g : sel.group_by) NoteNondet(*g);
+      if (sel.having) NoteNondet(*sel.having);
+      for (const auto& o : sel.order_by) NoteNondet(*o.expr);
+    }
+    for (const auto& child : e.children) NoteNondet(*child);
+  }
+
+  void NoteDeadColumnWrite(const SchemaRegistry::TableInfo& info,
+                           const std::string& table,
+                           const std::string& column) {
+    for (const auto& c : info.columns) {
+      if (EqualsIgnoreCase(c.name, column)) return;
+    }
+    facts_->dead_column_writes.push_back(table + "." + column);
   }
 
   /// Constant-folds `e` given bound procedure variables. nullopt = unknown.
@@ -504,9 +592,7 @@ class AnalyzerImpl {
 
   /// Resolves the owning table of a column reference among `sources`
   /// (alias -> table name); empty = unresolved.
-  std::string ResolveColumnTable(
-      const Expr& col, const std::vector<std::pair<std::string, std::string>>&
-                           sources) {
+  std::string ResolveColumnTable(const Expr& col, const Sources& sources) {
     if (!col.table.empty()) {
       for (const auto& [alias, table] : sources) {
         if (EqualsIgnoreCase(alias, col.table)) return table;
@@ -527,9 +613,11 @@ class AnalyzerImpl {
   /// Adds the columns referenced by `e` to `rc` (qualified through
   /// `sources`); unresolvable names inside procedures are variables, so
   /// they contribute nothing.
-  void CollectColumns(
-      const Expr& e,
-      const std::vector<std::pair<std::string, std::string>>& sources) {
+  void CollectColumns(const Expr& e, const Sources& sources) {
+    if (facts_ && e.kind == ExprKind::kFuncCall &&
+        nondet::IsSqlNondetBuiltin(e.func_name)) {
+      facts_->nondet_builtins.insert(e.func_name);
+    }
     if (e.kind == ExprKind::kColumnRef) {
       if (e.table.empty() && vars_.count(e.column)) return;  // variable
       std::string table = ResolveColumnTable(e, sources);
@@ -552,17 +640,52 @@ class AnalyzerImpl {
     for (const auto& child : e.children) CollectColumns(*child, sources);
   }
 
-  /// RI-key extraction from a WHERE clause for table `table` (§4.3).
-  /// Returns nullopt for "any rows" (wildcard).
+  /// Which WHERE columns bind to `sources[self]`: its alias, unless another
+  /// source shares it, and bare names only when no other source — nor a
+  /// view, whose columns the walk does not resolve — could own one of its
+  /// RI key names (the evaluator binds a bare name to the first owner).
+  RiColumnScope ScopeOf(const Sources& sources, size_t self, bool has_view) {
+    RiColumnScope scope{sources[self].first, !has_view};
+    if (sources.size() == 1) return scope;
+    const auto* info = reg_->FindTable(sources[self].second);
+    for (size_t j = 0; j < sources.size(); ++j) {
+      if (j == self) continue;
+      if (EqualsIgnoreCase(sources[j].first, sources[self].first)) {
+        scope.qualifier = {};
+      }
+      if (info && MayOwnRiKey(sources[j].second, *info)) scope.bare = false;
+    }
+    return scope;
+  }
+
+  /// True when `table` is unknown or has a column named like one of
+  /// `info`'s RI key columns.
+  bool MayOwnRiKey(const std::string& table,
+                   const SchemaRegistry::TableInfo& info) {
+    const auto* other = reg_->FindTable(table);
+    if (!other) return true;
+    for (const auto& c : other->columns) {
+      if (EqualsIgnoreCase(c.name, info.ri_column)) return true;
+      for (const auto& alias : info.ri_aliases) {
+        if (EqualsIgnoreCase(c.name, alias)) return true;
+      }
+    }
+    return false;
+  }
+
+  /// RI-key extraction from a WHERE clause for `table`, the source `scope`
+  /// describes (§4.3). Returns nullopt for "any rows" (wildcard).
   std::optional<std::set<std::string>> ExtractRiValues(
-      const Expr* where, const std::string& table,
+      const Expr* where, const RiColumnScope& scope, const std::string& table,
       const SchemaRegistry::TableInfo& info) {
     if (!where) return std::nullopt;
     switch (where->kind) {
       case ExprKind::kBinary: {
         if (where->binary_op == sql::BinaryOp::kAnd) {
-          auto l = ExtractRiValues(where->children[0].get(), table, info);
-          auto r = ExtractRiValues(where->children[1].get(), table, info);
+          auto l =
+              ExtractRiValues(where->children[0].get(), scope, table, info);
+          auto r =
+              ExtractRiValues(where->children[1].get(), scope, table, info);
           // AND narrows: prefer the resolved side; both resolved ->
           // intersection.
           if (l && r) {
@@ -576,8 +699,10 @@ class AnalyzerImpl {
           return r;
         }
         if (where->binary_op == sql::BinaryOp::kOr) {
-          auto l = ExtractRiValues(where->children[0].get(), table, info);
-          auto r = ExtractRiValues(where->children[1].get(), table, info);
+          auto l =
+              ExtractRiValues(where->children[0].get(), scope, table, info);
+          auto r =
+              ExtractRiValues(where->children[1].get(), scope, table, info);
           if (l && r) {
             l->insert(r->begin(), r->end());
             return l;
@@ -588,8 +713,7 @@ class AnalyzerImpl {
           const Expr* col = where->children[0].get();
           const Expr* val = where->children[1].get();
           if (col->kind != ExprKind::kColumnRef) std::swap(col, val);
-          if (col->kind != ExprKind::kColumnRef) return std::nullopt;
-          if (!col->table.empty() && !EqualsIgnoreCase(col->table, table)) {
+          if (col->kind != ExprKind::kColumnRef || !scope.Binds(*col)) {
             return std::nullopt;
           }
           auto vs = MultiEval(*val);
@@ -601,6 +725,7 @@ class AnalyzerImpl {
           }
           for (const auto& alias : info.ri_aliases) {
             if (!EqualsIgnoreCase(col->column, alias)) continue;
+            if (!owner_) return std::nullopt;  // no learned alias map
             std::set<std::string> out;
             for (const auto& v : *vs) {
               auto it = owner_->alias_to_ri_.find(table + "." + alias + "|" +
@@ -617,7 +742,7 @@ class AnalyzerImpl {
       }
       case ExprKind::kInList: {
         const Expr* col = where->children[0].get();
-        if (col->kind != ExprKind::kColumnRef ||
+        if (col->kind != ExprKind::kColumnRef || !scope.Binds(*col) ||
             !EqualsIgnoreCase(col->column, info.ri_column)) {
           return std::nullopt;
         }
@@ -635,25 +760,28 @@ class AnalyzerImpl {
   }
 
   /// Symbolic predicate region of `where` over `table`'s RI column
-  /// (DESIGN.md §15), using the dynamic fold hooks: MultiEval resolves
-  /// literals, procedure variables and captured parameters; alias values
-  /// translate through the learned alias→RI map (unseen values widen).
-  ValueRegion ExtractRegion(const Expr* where, const std::string& table,
+  /// (DESIGN.md §15): MultiEval resolves literals, procedure variables and
+  /// captured parameters; alias values translate through the learned
+  /// alias→RI map (unseen values, and the static environment, widen).
+  ValueRegion ExtractRegion(const Expr* where, const RiColumnScope& scope,
+                            const std::string& table,
                             const SchemaRegistry::TableInfo& info) {
     PredicateEvalFn eval = [this](const Expr& e) { return MultiEval(e); };
     PredicateAliasFn alias_lookup =
         [this, &table](const std::string& alias_col,
                        const Value& v) -> std::optional<std::set<std::string>> {
+      if (!owner_) return std::nullopt;
       auto it = owner_->alias_to_ri_.find(table + "." + alias_col + "|" +
                                           v.Encode());
       if (it == owner_->alias_to_ri_.end()) return std::nullopt;
       return it->second;
     };
-    return ExtractPredicateRegion(where, table, info.ri_column,
+    return ExtractPredicateRegion(where, scope, info.ri_column,
                                   info.ri_aliases, eval, alias_lookup);
   }
 
-  void AddRiReads(const std::string& table, const Expr* where) {
+  void AddRiReads(const std::string& table, const Expr* where,
+                  const RiColumnScope& scope) {
     const auto* info = reg_->FindTable(table);
     ReadSchema(table);
     out_->read_tables.insert(table);
@@ -663,11 +791,12 @@ class AnalyzerImpl {
       return;
     }
     std::string key = table + "." + info->ri_column;
-    out_->rr.AddConstrained(key, ExtractRiValues(where, table, *info),
-                            ExtractRegion(where, table, *info));
+    out_->rr.AddConstrained(key, ExtractRiValues(where, scope, table, *info),
+                            ExtractRegion(where, scope, table, *info));
   }
 
-  void AddRiWrites(const std::string& table, const Expr* where) {
+  void AddRiWrites(const std::string& table, const Expr* where,
+                   const RiColumnScope& scope) {
     const auto* info = reg_->FindTable(table);
     out_->write_tables.insert(table);
     if (!info || info->ri_column.empty()) {
@@ -675,19 +804,21 @@ class AnalyzerImpl {
       return;
     }
     std::string key = table + "." + info->ri_column;
-    out_->wr.AddConstrained(key, ExtractRiValues(where, table, *info),
-                            ExtractRegion(where, table, *info));
+    out_->wr.AddConstrained(key, ExtractRiValues(where, scope, table, *info),
+                            ExtractRegion(where, scope, table, *info));
   }
 
   /// Read-side analysis of a SELECT: columns, schema entries, RI keys, FK
   /// externals, nested subqueries.
   void AnalyzeSelectRead(const SelectStatement& sel) {
-    std::vector<std::pair<std::string, std::string>> sources;
+    Sources sources;
+    bool has_view = false;
     auto add_source = [&](const std::string& name, const std::string& alias) {
       if (const auto* view = reg_->FindView(name)) {
         out_->rc.Add("_S." + name);
         out_->rr.AddWildcard("_S." + name);
         AnalyzeSelectRead(**view);
+        has_view = true;
         return;
       }
       sources.emplace_back(alias.empty() ? name : alias, name);
@@ -695,9 +826,9 @@ class AnalyzerImpl {
     if (!sel.from_table.empty()) add_source(sel.from_table, sel.from_alias);
     for (const auto& join : sel.joins) add_source(join.table, join.alias);
 
-    for (const auto& [alias, table] : sources) {
-      (void)alias;
-      AddRiReads(table, sel.where.get());
+    for (size_t i = 0; i < sources.size(); ++i) {
+      const std::string& table = sources[i].second;
+      AddRiReads(table, sel.where.get(), ScopeOf(sources, i, has_view));
       const auto* info = reg_->FindTable(table);
       if (info) {
         // FOREIGN KEY external columns (Appendix A SELECT policy).
@@ -763,6 +894,12 @@ class AnalyzerImpl {
 
   Status AnalyzeStmt(const Statement& stmt, int depth) {
     if (depth > kMaxDepth) return Status::Internal("analysis depth limit");
+    if (!owner_ && IsDdl(stmt.kind)) {
+      // Nested DDL widens the flags the concrete walk sets at top level.
+      out_->is_ddl = true;
+      out_->overwrites = true;
+      if (facts_) facts_->has_ddl = true;
+    }
     switch (stmt.kind) {
       case StatementKind::kCreateTable: {
         const auto& schema = stmt.create_table.schema;
@@ -772,7 +909,7 @@ class AnalyzerImpl {
           ReadSchema(fk.ref_table);
         }
         reg_->ApplyDdl(stmt);  // registry evolves with the log
-        owner_->ReapplyRiConfig(schema.name);
+        ApplyRiOverride(*ri_overrides_, schema.name, reg_);
         return Status::OK();
       }
       case StatementKind::kAlterTable:
@@ -862,6 +999,11 @@ class AnalyzerImpl {
           // AUTO_INCREMENT primary key: implicit read of the key column.
           if (c.auto_increment) out_->rc.Add(table + "." + c.name);
         }
+        if (facts_) {
+          for (const auto& col : stmt.insert.columns) {
+            NoteDeadColumnWrite(*info, table, col);
+          }
+        }
         for (const auto& fk : info->foreign_keys) {
           out_->rc.Add(fk.ref_table + "." + fk.ref_column);
           out_->read_tables.insert(fk.ref_table);
@@ -910,6 +1052,7 @@ class AnalyzerImpl {
               out_->wr.AddValue(key, enc);
               // Alias learning: alias value -> RI value (§4.3).
               for (const auto& alias : info->ri_aliases) {
+                if (!owner_) break;  // nothing is learned statically
                 int a_idx = -1;
                 for (size_t i = 0; i < cols.size(); ++i) {
                   if (EqualsIgnoreCase(cols[i], alias)) a_idx = int(i);
@@ -943,10 +1086,11 @@ class AnalyzerImpl {
         const auto* info = reg_->FindTable(table);
         ReadSchema(table);
         out_->overwrites = true;  // mutates pre-existing rows
-        std::vector<std::pair<std::string, std::string>> sources = {
-            {table, table}};
+        Sources sources = {{table, table}};
+        const RiColumnScope scope{table};
         for (const auto& [col, e] : stmt.update.assignments) {
           out_->wc.Add(table + "." + col);
+          if (facts_ && info) NoteDeadColumnWrite(*info, table, col);
           CollectColumns(*e, sources);
           // External FK columns referencing the updated column (Appendix A).
           if (info) {
@@ -968,8 +1112,8 @@ class AnalyzerImpl {
           }
         }
         if (stmt.update.where) CollectColumns(*stmt.update.where, sources);
-        AddRiReads(table, stmt.update.where.get());
-        AddRiWrites(table, stmt.update.where.get());
+        AddRiReads(table, stmt.update.where.get(), scope);
+        AddRiWrites(table, stmt.update.where.get(), scope);
         out_->read_tables.insert(table);
 
         // Merged RI values: UPDATE SET ri = v2 WHERE ri = v1 (§4.3).
@@ -978,18 +1122,17 @@ class AnalyzerImpl {
           for (const auto& [col, e] : stmt.update.assignments) {
             if (!EqualsIgnoreCase(col, info->ri_column)) continue;
             auto new_v = ConstEval(*e);
-            auto old_vals =
-                ExtractRiValues(stmt.update.where.get(), table, *info);
-            if (new_v) {
-              out_->wr.AddValue(key, new_v->Encode());
-              if (old_vals) {
-                for (const auto& old_enc : *old_vals) {
-                  owner_->Union(key + "|" + old_enc,
-                                key + "|" + new_v->Encode());
-                }
-              }
-            } else {
+            if (!new_v) {
               out_->wr.AddWildcard(key);
+              continue;
+            }
+            out_->wr.AddValue(key, new_v->Encode());
+            if (!owner_) continue;  // the union-find is concrete state
+            auto old_vals =
+                ExtractRiValues(stmt.update.where.get(), scope, table, *info);
+            if (!old_vals) continue;
+            for (const auto& old_enc : *old_vals) {
+              owner_->Union(key + "|" + old_enc, key + "|" + new_v->Encode());
             }
           }
         }
@@ -1007,11 +1150,11 @@ class AnalyzerImpl {
             out_->wc.Add(table + "." + c.name);
           }
         }
-        std::vector<std::pair<std::string, std::string>> sources = {
-            {table, table}};
+        Sources sources = {{table, table}};
+        const RiColumnScope scope{table};
         if (stmt.del.where) CollectColumns(*stmt.del.where, sources);
-        AddRiReads(table, stmt.del.where.get());
-        AddRiWrites(table, stmt.del.where.get());
+        AddRiReads(table, stmt.del.where.get(), scope);
+        AddRiWrites(table, stmt.del.where.get(), scope);
         // Rows of tables referencing this table via FK may be affected.
         for (const auto& ref : reg_->TablesReferencing(table)) {
           const auto* ref_info = reg_->FindTable(ref);
@@ -1031,6 +1174,9 @@ class AnalyzerImpl {
       case StatementKind::kCall: {
         const auto* proc = reg_->FindProcedure(stmt.call.procedure);
         ReadSchema(stmt.call.procedure);
+        if (facts_) {
+          for (const auto& a : stmt.call.args) NoteNondet(*a);
+        }
         if (!proc) return Status::OK();
         // Bind argument values for row-wise concretization (§4.3: "the RI
         // value of each executed query is either a constant or a symbolic
@@ -1038,7 +1184,7 @@ class AnalyzerImpl {
         VarMap saved = vars_;
         for (size_t i = 0;
              i < proc->params.size() && i < stmt.call.args.size(); ++i) {
-          vars_[proc->params[i].name] = ConstEval(*stmt.call.args[i]);
+          vars_[proc->params[i].name] = Bind(*stmt.call.args[i]);
         }
         Status st = AnalyzeBody(proc->body, depth + 1);
         vars_ = std::move(saved);
@@ -1050,12 +1196,16 @@ class AnalyzerImpl {
 
       case StatementKind::kDeclareVar: {
         std::optional<Value> v;
-        if (stmt.declare_var.init) v = ConstEval(*stmt.declare_var.init);
+        if (stmt.declare_var.init) {
+          if (facts_) NoteNondet(*stmt.declare_var.init);
+          v = Bind(*stmt.declare_var.init);
+        }
         vars_[stmt.declare_var.name] = v;
         return Status::OK();
       }
       case StatementKind::kSetVar:
-        vars_[stmt.set_var.name] = ConstEval(*stmt.set_var.value);
+        if (facts_) NoteNondet(*stmt.set_var.value);
+        vars_[stmt.set_var.name] = Bind(*stmt.set_var.value);
         return Status::OK();
 
       case StatementKind::kIf: {
@@ -1123,10 +1273,12 @@ class AnalyzerImpl {
     }
   }
 
-  QueryAnalyzer* owner_;
+  QueryAnalyzer* owner_ = nullptr;  // null in the static environment
   SchemaRegistry* reg_;
-  const sql::NondetRecord* nondet_;
-  const std::map<std::string, std::vector<Value>>* captured_;
+  const std::map<std::string, RiConfig>* ri_overrides_;
+  const sql::NondetRecord* nondet_ = nullptr;
+  const std::map<std::string, std::vector<Value>>* captured_ = nullptr;
+  StaticFacts* facts_ = nullptr;
   QueryRW* out_ = nullptr;
   VarMap vars_;
 };
@@ -1139,15 +1291,7 @@ void QueryAnalyzer::ConfigureRi(const std::string& table,
                                 const std::string& ri_column,
                                 std::vector<std::string> aliases) {
   ri_overrides_[table] = RiConfig{ri_column, std::move(aliases)};
-  ReapplyRiConfig(table);
-}
-
-void QueryAnalyzer::ReapplyRiConfig(const std::string& table) {
-  auto it = ri_overrides_.find(table);
-  if (it == ri_overrides_.end()) return;
-  registry_.SetRiColumn(table, it->second.ri_column);
-  auto* info = registry_.FindTableMutable(table);
-  if (info) info->ri_aliases = it->second.aliases;
+  ApplyRiOverride(ri_overrides_, table, &registry_);
 }
 
 void QueryAnalyzer::CanonicalizeRowSets(QueryRW* rw) {
@@ -1242,6 +1386,20 @@ Result<QueryRW> QueryAnalyzer::AnalyzeStatement(
   if (observer_) observer_->AfterStatement(stmt, rw);
   CanonicalizeRowSets(&rw);
   return rw;
+}
+
+Status AnalyzeStatic(const sql::Statement& stmt, SchemaRegistry* reg,
+                     const std::map<std::string, RiConfig>& ri_overrides,
+                     QueryRW* out, StaticFacts* facts) {
+  return AnalyzerImpl(reg, &ri_overrides, facts).Analyze(stmt, out);
+}
+
+Status AnalyzeProcedureStatic(
+    const sql::CreateProcedureStatement& proc, SchemaRegistry* reg,
+    const std::map<std::string, RiConfig>& ri_overrides, QueryRW* out,
+    StaticFacts* facts) {
+  return AnalyzerImpl(reg, &ri_overrides, facts)
+      .AnalyzeProcedureBody(proc, out);
 }
 
 }  // namespace ultraverse::core

@@ -168,6 +168,48 @@ class SchemaRegistry {
   std::map<std::string, sql::CreateTriggerStatement> triggers_;
 };
 
+/// RI configuration of one table: the row-identifier column and its alias
+/// columns (QueryAnalyzer::ConfigureRi).
+struct RiConfig {
+  std::string ri_column;
+  std::vector<std::string> aliases;
+  bool operator==(const RiConfig&) const = default;
+};
+
+/// Lint facts the static environment of the R/W walk records next to the
+/// sets (DESIGN.md §10). The concrete environment never fills them.
+struct StaticFacts {
+  /// True when the statement contains DDL anywhere, including nested in a
+  /// procedure body reached through CALL — a Hash-jumper hazard the lint
+  /// pass reports (dynamic is_ddl only marks top-level DDL).
+  bool has_ddl = false;
+
+  /// Nondeterministic SQL builtins referenced anywhere in the statement
+  /// (upper-cased names from util/nondet_builtins.h).
+  std::set<std::string> nondet_builtins;
+
+  /// "Table.column" writes naming columns absent from the table's current
+  /// schema — dead branches writing dropped columns, or typos.
+  std::vector<std::string> dead_column_writes;
+};
+
+/// The R/W walk in its static environment: no variable values, captured
+/// values, nondet records or learned alias maps, so every runtime site
+/// widens and the result contains every execution's dynamic sets
+/// (DESIGN.md §10). `reg` evolves through the statement's DDL, with
+/// `ri_overrides` applied to each table it (re)creates. `facts` may be
+/// null.
+Status AnalyzeStatic(const sql::Statement& stmt, SchemaRegistry* reg,
+                     const std::map<std::string, RiConfig>& ri_overrides,
+                     QueryRW* out, StaticFacts* facts);
+
+/// Static walk of a stored procedure's body with every parameter bound
+/// and unknown (the all-paths summary of any CALL of it).
+Status AnalyzeProcedureStatic(
+    const sql::CreateProcedureStatement& proc, SchemaRegistry* reg,
+    const std::map<std::string, RiConfig>& ri_overrides, QueryRW* out,
+    StaticFacts* facts);
+
 /// Hook invoked around each statement's dynamic analysis. The static
 /// soundness checker (src/analysis) implements this to compute a static
 /// summary against the pre-statement registry state (BeforeStatement) and
@@ -186,22 +228,19 @@ class AnalysisObserver {
 /// Derives per-query R/W sets from a committed-query log. The analyzer is
 /// the asynchronous background "query analyzer" of Figure 2: it replays
 /// DDL into its SchemaRegistry, learns alias-RI mappings and merged RI
-/// values, and emits a QueryRW per log entry.
+/// values, and emits a QueryRW per log entry. It runs the R/W walk in its
+/// concrete environment; AnalyzeStatic runs the same walk statically.
 class QueryAnalyzer {
  public:
   QueryAnalyzer() = default;
 
-  struct RiConfig {
-    std::string ri_column;
-    std::vector<std::string> aliases;
-    bool operator==(const RiConfig&) const = default;
-  };
+  using RiConfig = core::RiConfig;
 
   SchemaRegistry* registry() { return &registry_; }
   const SchemaRegistry* registry() const { return &registry_; }
 
-  /// RI configuration overrides installed via ConfigureRi, exposed so the
-  /// static analyzer can mirror them when it replays intra-statement DDL
+  /// RI configuration overrides installed via ConfigureRi, exposed so a
+  /// static walk can apply them when it replays intra-statement DDL
   /// against its own scratch registry.
   const std::map<std::string, RiConfig>& ri_configs() const {
     return ri_overrides_;
@@ -259,7 +298,6 @@ class QueryAnalyzer {
 
   std::string Find(const std::string& key);
   void Union(const std::string& a, const std::string& b);
-  void ReapplyRiConfig(const std::string& table);
 };
 
 }  // namespace ultraverse::core

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -19,6 +20,7 @@
 #include "oracle/fuzzer.h"
 #include "oracle/oracle.h"
 #include "sqldb/parser.h"
+#include "util/sha256.h"
 #include "workloads/workload.h"
 
 namespace ultraverse::analysis {
@@ -147,6 +149,28 @@ TEST(StaticRwTest, SubqueryAndViewReadsPropagate) {
   EXPECT_TRUE(sum.rw.rc.Contains("posts.body"));
   EXPECT_TRUE(sum.rw.rc.Contains("users.uid"));   // through the view
   EXPECT_TRUE(sum.rw.rc.Contains("_S.loud"));     // view schema read
+}
+
+TEST(StaticRwTest, JoinRiExtractionConstrainsOnlyTheBoundSource) {
+  const std::vector<std::string> schema = {
+      "CREATE TABLE a (id INT PRIMARY KEY, v INT)",
+      "CREATE TABLE b (id INT PRIMARY KEY, w INT)",
+  };
+  auto in_list = schema;
+  in_list.push_back(
+      "SELECT a.id FROM a JOIN b ON a.v = b.w WHERE b.id IN (1, 2)");
+  StaticSummary sum = SummarizeAfter(in_list);
+  EXPECT_TRUE(sum.rw.rr.cols.at("a.id").wildcard);
+  EXPECT_TRUE(sum.rw.rr.cols.at("a.id").region.IsTop());
+  EXPECT_EQ(sum.rw.rr.cols.at("b.id").values.size(), 2u);
+
+  auto bare = schema;
+  bare.push_back("SELECT a.id FROM a JOIN b ON a.v = b.w WHERE id = 1");
+  sum = SummarizeAfter(bare);
+  for (const char* key : {"a.id", "b.id"}) {
+    EXPECT_TRUE(sum.rw.rr.cols.at(key).wildcard) << key;
+    EXPECT_TRUE(sum.rw.rr.cols.at(key).region.IsTop()) << key;
+  }
 }
 
 // --- procedures: all-paths merge and parameter wildcards --------------------
@@ -636,6 +660,303 @@ TEST(LintTest, NoProceduresMeansNoUnownedWrites) {
   }));
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->findings.empty()) << report->ToString();
+}
+
+/// Logged statements of a bundled workload after setup and `txns`
+/// transactions (the history `uvlint --workload` and the identity digests
+/// read). `uv` keeps the workload's RI configuration.
+std::vector<StatementPtr> WorkloadStatements(const std::string& name,
+                                             size_t txns,
+                                             core::Ultraverse* uv) {
+  auto workload = workload::MakeWorkload(name, /*scale=*/1);
+  EXPECT_NE(workload, nullptr) << name;
+  if (!workload) return {};
+  workload::Driver driver(std::move(workload), uv, {});
+  EXPECT_TRUE(driver.Setup().ok()) << name;
+  EXPECT_TRUE(driver.RunHistory(txns).ok()) << name;
+  std::vector<StatementPtr> out;
+  for (const auto& entry : uv->log()->entries()) out.push_back(entry.stmt);
+  return out;
+}
+
+// `uvlint --workload all` (10 transactions per workload): the findings come
+// from the static walk's lint facts and the matrices from ProcedureSummary.
+TEST(LintTest, BundledWorkloadReportsArePinned) {
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"epinions",
+       "no findings\n"
+       "static conflict matrix (5 procedures; '#' = may conflict, '~' = "
+       "predicate-refuted, '.' = provably disjoint)\n"
+       "  AddReview          #.#..\n"
+       "  UpdateItemTitle    .#...\n"
+       "  UpdateReviewRating #.#..\n"
+       "  UpdateTrustRating  ...#.\n"
+       "  UpdateUserName     ....#\n"},
+      {"tatp",
+       "no findings\n"
+       "static conflict matrix (4 procedures; '#' = may conflict, '~' = "
+       "predicate-refuted, '.' = provably disjoint)\n"
+       "  DeleteCallForwarding ##..\n"
+       "  InsertCallForwarding ##..\n"
+       "  UpdateLocation       ..#.\n"
+       "  UpdateSubscriberData ...#\n"},
+      {"seats",
+       "no findings\n"
+       "static conflict matrix (4 procedures; '#' = may conflict, '~' = "
+       "predicate-refuted, '.' = provably disjoint)\n"
+       "  DeleteReservation ####\n"
+       "  NewReservation    ####\n"
+       "  UpdateCustomer    ###.\n"
+       "  UpdateReservation ##.#\n"},
+      {"tpcc",
+       "#15 [unowned-write] item: raw DML writes a table no stored procedure "
+       "writes: traffic bypassing the transpiled application templates\n"
+       "static conflict matrix (4 procedures; '#' = may conflict, '~' = "
+       "predicate-refuted, '.' = provably disjoint)\n"
+       "  Delivery   ###.\n"
+       "  NewOrder   ##.#\n"
+       "  Payment    #.#.\n"
+       "  order_item .#.#\n"},
+      {"astore",
+       "#22 [unowned-write] Categories: raw DML writes a table no stored "
+       "procedure writes: traffic bypassing the transpiled application "
+       "templates\n"
+       "static conflict matrix (12 procedures; '#' = may conflict, '~' = "
+       "predicate-refuted, '.' = provably disjoint)\n"
+       "  AddAddress        #..#........\n"
+       "  CancelOrder       .####....#..\n"
+       "  DeleteMessage     .####.......\n"
+       "  PlaceOrder        #####.#..##.\n"
+       "  PostMessage       .####.......\n"
+       "  Register          .....#.....#\n"
+       "  Restock           ...#..#.....\n"
+       "  Subscribe         .......##...\n"
+       "  Unsubscribe       .......##...\n"
+       "  UpdateOrderStatus .#.#.....#..\n"
+       "  UpdatePrice       ...#......#.\n"
+       "  UpdateProfile     .....#.....#\n"},
+  };
+  ASSERT_EQ(expected.size(), workload::AllWorkloadNames().size());
+  for (const auto& [name, text] : expected) {
+    core::Ultraverse uv;
+    auto report = LintStatements(WorkloadStatements(name, 10, &uv));
+    ASSERT_TRUE(report.ok()) << name << ": " << report.status().ToString();
+    EXPECT_EQ(report->ToString(), text) << name;
+  }
+}
+
+// --- analysis identity -------------------------------------------------------
+//
+// Golden digests of everything the R/W walk produces, over the five bundled
+// workloads (RI and alias-RI configurations included) and fuzz seeds 1-2:
+// raw dynamic QueryRWs per entry, owned-mode static summaries with their
+// lint facts plus every procedure summary, and the replay plan of a remove
+// at every log index. A change to the walk that alters any analysis shows
+// up here as a digest mismatch.
+
+void AppendRowSet(const core::RowSet& rs, std::string* out) {
+  for (const auto& [col, vals] : rs.cols) {
+    *out += " " + col + (vals.wildcard ? "*" : "") + "{";
+    for (const auto& v : vals.values) *out += v + ",";
+    *out += "}";
+    const core::ValueRegion& r = vals.region;
+    if (r.top) {
+      *out += "T";
+      continue;
+    }
+    *out += "[";
+    for (const auto& p : r.points) *out += p + ",";
+    for (const auto& iv : r.intervals) {
+      *out += std::string(iv.lo_incl ? "[" : "(") +
+              (iv.lo ? iv.lo->Encode() : "-") + ";" +
+              (iv.hi ? iv.hi->Encode() : "+") + (iv.hi_incl ? "]" : ")");
+    }
+    *out += "]";
+  }
+}
+
+void AppendRw(const QueryRW& rw, std::string* out) {
+  *out += "rc";
+  for (const auto& c : rw.rc.items) *out += " " + c;
+  *out += "|wc";
+  for (const auto& c : rw.wc.items) *out += " " + c;
+  *out += "|rr";
+  AppendRowSet(rw.rr, out);
+  *out += "|wr";
+  AppendRowSet(rw.wr, out);
+  *out += "|rt";
+  for (const auto& t : rw.read_tables) *out += " " + t;
+  *out += "|wt";
+  for (const auto& t : rw.write_tables) *out += " " + t;
+  *out += std::string("|") + (rw.is_ddl ? "D" : "-") +
+          (rw.overwrites ? "O" : "-") + "\n";
+}
+
+void AppendSummary(const StaticSummary& sum, std::string* out) {
+  AppendRw(sum.rw, out);
+  *out += sum.has_ddl ? "ddl" : "-";
+  for (const auto& b : sum.nondet_builtins) *out += " " + b;
+  *out += "|dead";
+  for (const auto& d : sum.dead_column_writes) *out += " " + d;
+  *out += "\n";
+}
+
+std::string Digest(const std::string& text) {
+  return Sha256::Hash(text).ToHex().substr(0, 16);
+}
+
+struct AnalysisDigests {
+  std::string dynamic, statics, plans;
+};
+
+AnalysisDigests DigestAnalyses(
+    const sql::QueryLog& log,
+    const std::map<std::string, core::QueryAnalyzer::RiConfig>& ri) {
+  std::string dyn_text, static_text, plan_text;
+  core::QueryAnalyzer raw;
+  StaticAnalyzer statics;
+  for (const auto& [table, cfg] : ri) {
+    raw.ConfigureRi(table, cfg.ri_column, cfg.aliases);
+    statics.SetRiOverride(table, cfg.ri_column, cfg.aliases);
+  }
+  for (const auto& entry : log.entries()) {
+    auto rw = raw.AnalyzeEntry(entry);
+    EXPECT_TRUE(rw.ok()) << rw.status().ToString();
+    if (rw.ok()) AppendRw(*rw, &dyn_text);
+    auto sum = statics.AnalyzeNext(*entry.stmt);
+    EXPECT_TRUE(sum.ok()) << sum.status().ToString();
+    if (sum.ok()) AppendSummary(*sum, &static_text);
+  }
+  for (const auto& name : statics.registry().ProcedureNames()) {
+    auto sum = statics.ProcedureSummary(name);
+    EXPECT_TRUE(sum.ok()) << name;
+    static_text += name + ": ";
+    if (sum.ok()) AppendSummary(**sum, &static_text);
+  }
+
+  core::QueryAnalyzer canon;
+  for (const auto& [table, cfg] : ri) {
+    canon.ConfigureRi(table, cfg.ri_column, cfg.aliases);
+  }
+  auto analysis = canon.AnalyzeLog(log);
+  EXPECT_TRUE(analysis.ok()) << analysis.status().ToString();
+  if (analysis.ok()) {
+    for (uint64_t target = 1; target <= analysis->size(); ++target) {
+      core::ReplayPlan plan = core::ComputeReplayPlan(
+          *analysis, target, (*analysis)[target - 1],
+          /*target_occupies_slot=*/true, core::DependencyOptions{});
+      plan_text += std::to_string(target) + ":";
+      for (uint64_t i : plan.replay_indices) {
+        plan_text += " " + std::to_string(i);
+      }
+      plan_text += "|";
+      for (const auto& t : plan.mutated_tables) plan_text += " " + t;
+      plan_text += plan.needs_schema_rebuild ? "|R\n" : "|-\n";
+    }
+  }
+  return {Digest(dyn_text), Digest(static_text), Digest(plan_text)};
+}
+
+TEST(AnalysisIdentityTest, DigestsMatchGolden) {
+  struct Golden {
+    std::string source;
+    AnalysisDigests digests;
+  };
+  const std::vector<Golden> golden = {
+      {"astore", {"3eda28bc6d153953", "696fc83be615c9cd", "4b823e367b686352"}},
+      {"epinions", {"95d629e775cd25ea", "bd36422990989fc9", "aa89e464d5a17d4d"}},
+      {"fuzz1/0", {"8ba4fc1a74ab3081", "46d327dce52d4ac4", "1f2a57ce3efaf15a"}},
+      {"fuzz1/1", {"78e925d2b734e0a9", "4adbcb0ed30fbfad", "938c0c792d3e11f1"}},
+      {"fuzz1/10", {"74b2c946f9f9e427", "c2edb357cd7aac33", "2f33c84b2c452a5e"}},
+      {"fuzz1/11", {"3632d3fe4b420711", "babdf45b9a810e44", "3cbc9112f3e96006"}},
+      {"fuzz1/12", {"3b202439c33ca10c", "2a242d9bf086fe2c", "8ca1b34496060416"}},
+      {"fuzz1/13", {"ceb074df3581ae98", "703de9755423efcc", "42d70c7cff79f368"}},
+      {"fuzz1/14", {"5ee3bdf8e62f6098", "e3de35921cff91e6", "b3a1cc0c81e438ae"}},
+      {"fuzz1/15", {"41d26f4e95a7b655", "6bb61950041e93e8", "5cc1cc1b59f53ebe"}},
+      {"fuzz1/16", {"6aade6eacc151ea7", "4aacced9d63a2b9f", "172f5727d3485d1f"}},
+      {"fuzz1/17", {"0f9ff27fbc5c3167", "0bf485939a120cd4", "37d794cc183734c1"}},
+      {"fuzz1/18", {"1ef63a136a5c370d", "54ff0216ca307dac", "16eeb01f85dbae1b"}},
+      {"fuzz1/19", {"0e55c10d575c11bb", "6afcb2e1f1f8f88f", "156a0308f76af545"}},
+      {"fuzz1/2", {"2af353bfc8e37635", "61ab5c259b75201e", "50e26bfcac71f142"}},
+      {"fuzz1/20", {"b725a23c63468eba", "7cd7762fd04723e8", "30db5bd669cd8bb3"}},
+      {"fuzz1/21", {"3cc71a64f0dc63d4", "e76c8a119b89dac9", "baa13992182a6652"}},
+      {"fuzz1/22", {"c83a3e1a90e17862", "c5bb848e5f64c2d1", "31a32c01515dc7b0"}},
+      {"fuzz1/23", {"f0c346ffe8591640", "f0decc9a72f0876a", "c9de9411c036a325"}},
+      {"fuzz1/24", {"a35584cec0ee90a2", "c5de6fe4e15bdb40", "ee012fb56bf6b270"}},
+      {"fuzz1/25", {"52bd3fb92beec7a9", "605098f88fd876f3", "4935ab293a0dfa9d"}},
+      {"fuzz1/26", {"05377caf40294616", "1efdfde4e2f333b2", "b56dad1ace88f4ed"}},
+      {"fuzz1/27", {"719fbfba5d915e48", "a473a89862c51f5d", "e711536b8f6bc420"}},
+      {"fuzz1/28", {"f8ae5725773846fa", "4089ab848f4a6624", "37ba47e6af6af627"}},
+      {"fuzz1/29", {"836c1d5bb5dc7261", "7199e659f24e03b9", "2903c227a4ffc924"}},
+      {"fuzz1/3", {"54d3e4dffe0005b7", "aa3ed33488a3fd44", "9e6eeedd567497c1"}},
+      {"fuzz1/4", {"328f03fed9bf7ee7", "a1b096cf040ad7c7", "df1397231d0e4113"}},
+      {"fuzz1/5", {"743648fcbecb8b2b", "204407d0f9644f70", "3177aba964cfe7de"}},
+      {"fuzz1/6", {"25ffa18fa4424253", "85667a81a37894bb", "816bd9680ade05f9"}},
+      {"fuzz1/7", {"e4e5bc9a753fcbbc", "7b99c1544e32bad6", "a8d456d860616861"}},
+      {"fuzz1/8", {"4863c4c9e0168b55", "a44e5cfe20efef5e", "e42660f5c9847b3a"}},
+      {"fuzz1/9", {"78e2f58bff1e6eb7", "98b0f5ae3a89d09c", "ec0b729a4d2f70b8"}},
+      {"fuzz2/0", {"0523529442931a0e", "e25b013be7794470", "fd60a668c27b0999"}},
+      {"fuzz2/1", {"81223f11a053ca93", "4f5d92efb3bbb6e0", "1f897c7ac910e59b"}},
+      {"fuzz2/10", {"c9453cc9271a4701", "1430d9c2fd001161", "7708237c48ed4e40"}},
+      {"fuzz2/11", {"f2868e913dfdb25a", "898f1b7e02dde939", "63930903863fdbb9"}},
+      {"fuzz2/12", {"bd2a20e47973438d", "fdab0f00c4b4a0fc", "ee66b7fb0e606662"}},
+      {"fuzz2/13", {"d5d34c84e2da0840", "6596909051f05687", "2bba96a992420fb1"}},
+      {"fuzz2/14", {"6eaadb738454a58e", "636e3e93a9058606", "5463f3f68fc33a95"}},
+      {"fuzz2/15", {"7a49ab71eeda47d1", "1c31fbdc0e354465", "8ca1b34496060416"}},
+      {"fuzz2/16", {"85c1247c09066f17", "fd73ef606462e636", "ef98a06eda4e5cbc"}},
+      {"fuzz2/17", {"55153ad8861d7116", "313f8910da8bb9e1", "27b4ec3bdc09d1de"}},
+      {"fuzz2/18", {"ffd755a8927095da", "c005ef66b36dd775", "1ed1527375e7dbe5"}},
+      {"fuzz2/19", {"c3364efe15bf8038", "e2c4ced6d45e6b96", "83a8ef409518f2fb"}},
+      {"fuzz2/2", {"08313f19f400ace6", "eb398df7700f0f5f", "4130b0b300572820"}},
+      {"fuzz2/20", {"3612d3c646502cd0", "1f3c4f37e08060b3", "f717db9a912aae54"}},
+      {"fuzz2/21", {"33054e5ccd7693ca", "f01486247ad56b82", "df4e2f87fc67fd1f"}},
+      {"fuzz2/22", {"8432808d7c9c8eb2", "d103baab58c13166", "ca99b5fedd40efe3"}},
+      {"fuzz2/23", {"9274142bf0bee1d5", "a029ab916e1849a4", "5e7d1217807ab156"}},
+      {"fuzz2/24", {"35229e298697dd22", "28fed63ab7f3474b", "5603d3fc0bf3058a"}},
+      {"fuzz2/25", {"e75a9a2d5778845b", "8002b7440b9ce59c", "9e30f8ac2b3efb93"}},
+      {"fuzz2/26", {"1df982bf2a6d9e3b", "77a5941a753bd758", "18af6fa25e0d7dee"}},
+      {"fuzz2/27", {"b3e54ad619e896e5", "c09e98ea8885ae4e", "e3298a6ff4c4a6a4"}},
+      {"fuzz2/28", {"36e52f96fe02f60b", "acd43ca46f7d3535", "df25c2205563a8d7"}},
+      {"fuzz2/29", {"6b6f3e0baecbc1f7", "ad1d76380e46cca8", "1c65664c1905b5af"}},
+      {"fuzz2/3", {"146c913ddd14b3fd", "d5f787fb422c6224", "cdf392aa603d9f8a"}},
+      {"fuzz2/4", {"cb051b8e96aded58", "2919d0c1adb97002", "f5b2e77a852524f5"}},
+      {"fuzz2/5", {"f4a3848aa1626d6b", "084eb8d481b6889f", "abb443cac7465d05"}},
+      {"fuzz2/6", {"7a49ab71eeda47d1", "1c31fbdc0e354465", "8ca1b34496060416"}},
+      {"fuzz2/7", {"de566c5bafddb5f1", "02b9d16bdab62322", "eda5f6dab126292c"}},
+      {"fuzz2/8", {"dd1baf1a3e21f7b1", "40d7c1160cfd4a8f", "57b95ca7ce614f5b"}},
+      {"fuzz2/9", {"1b64cb6e26468e83", "086f0ce91f8a4804", "c9c6104e52d5f28a"}},
+      {"seats", {"e46e5ee71ac0d830", "5b646f96fc3d40b8", "45b0b6338a2c9ce1"}},
+      {"tatp", {"5bebc6003a240b20", "1e1e2a04246edd96", "ea8a2b8fc7daa2e2"}},
+      {"tpcc", {"6abf2fa0eee92662", "591dabd6c1d1ec2c", "6fc26f77535d9573"}},
+  };
+  std::map<std::string, AnalysisDigests> actual;
+  for (const auto& name : workload::AllWorkloadNames()) {
+    core::Ultraverse uv;
+    WorkloadStatements(name, 12, &uv);
+    actual[name] = DigestAnalyses(*uv.log(), uv.analyzer()->ri_configs());
+  }
+  for (uint64_t seed : {1, 2}) {
+    for (uint64_t n = 0; n < 30; ++n) {
+      WhatIfCase c = GenerateCase(seed, n);
+      auto universe = Universe::Build(c.history);
+      ASSERT_TRUE(universe.ok()) << universe.status().ToString();
+      actual["fuzz" + std::to_string(seed) + "/" + std::to_string(n)] =
+          DigestAnalyses((*universe)->log(), {});
+    }
+  }
+  std::string listing;
+  for (const auto& [source, d] : actual) {
+    listing += "      {\"" + source + "\", {\"" + d.dynamic + "\", \"" +
+               d.statics + "\", \"" + d.plans + "\"}},\n";
+  }
+  ASSERT_EQ(golden.size(), actual.size()) << "actual digests:\n" << listing;
+  for (const auto& g : golden) {
+    auto it = actual.find(g.source);
+    ASSERT_NE(it, actual.end()) << g.source;
+    EXPECT_EQ(it->second.dynamic, g.digests.dynamic) << g.source;
+    EXPECT_EQ(it->second.statics, g.digests.statics) << g.source;
+    EXPECT_EQ(it->second.plans, g.digests.plans) << g.source;
+  }
 }
 
 }  // namespace

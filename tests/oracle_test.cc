@@ -423,6 +423,50 @@ TEST(OracleRegressionTest, HashJumperMissingBaselineForcesMiss) {
          "have skipped adoption and left the row in place";
 }
 
+// Join-scoped RI extraction: a WHERE conjunct constrains the rows of the
+// FROM/JOIN source its column binds to, and no other. Both shapes made the
+// planner drop the UPDATE that feeds the join (the INSERT ... SELECT read
+// table `a`, or `b`, as if only id 1 mattered) and replay diverged from
+// full-naive.
+
+// `b.id IN (...)` narrowed table a's rows too: IN lists ignored the
+// qualifier.
+TEST(OracleRegressionTest, JoinInListNarrowsOnlyItsQualifiedSource) {
+  std::vector<std::string> history = {
+      "CREATE TABLE a (id INT PRIMARY KEY, v INT)",
+      "CREATE TABLE b (id INT PRIMARY KEY, w INT)",
+      "CREATE TABLE c (id INT PRIMARY KEY, x INT)",
+      "INSERT INTO a VALUES (1, 0), (5, 0)",
+      "INSERT INTO b VALUES (1, 7)",
+      "UPDATE a SET v = 7 WHERE id = 5",
+      "INSERT INTO c SELECT a.id, a.v FROM a JOIN b ON a.v = b.w "
+      "WHERE b.id IN (1, 2)",
+  };
+  OracleResult r = CheckCaseAllModes(Case(history, RetroOp::Kind::kRemove, 6),
+                                     StandardModeConfigs());
+  EXPECT_TRUE(r.ok) << r.mode << ": "
+                    << (r.error.empty() ? r.diff.ToString() : r.error);
+}
+
+// A bare `id` both sources own binds to the first one (a), but it narrowed
+// b's rows as well.
+TEST(OracleRegressionTest, JoinBareRiColumnNarrowsNeitherSource) {
+  std::vector<std::string> history = {
+      "CREATE TABLE a (id INT PRIMARY KEY, v INT)",
+      "CREATE TABLE b (id INT PRIMARY KEY, w INT)",
+      "CREATE TABLE c (id INT PRIMARY KEY, x INT)",
+      "INSERT INTO a VALUES (1, 7)",
+      "INSERT INTO b VALUES (1, 0), (5, 0)",
+      "UPDATE b SET w = 7 WHERE id = 5",
+      "INSERT INTO c SELECT a.id, a.v FROM a JOIN b ON a.v = b.w "
+      "WHERE id = 1",
+  };
+  OracleResult r = CheckCaseAllModes(Case(history, RetroOp::Kind::kRemove, 6),
+                                     StandardModeConfigs());
+  EXPECT_TRUE(r.ok) << r.mode << ": "
+                    << (r.error.empty() ? r.diff.ToString() : r.error);
+}
+
 // Wide-integer exactness: int64 values above 2^53 are not representable
 // as doubles; comparison and encoding must not round-trip through double.
 TEST(OracleRegressionTest, ValueCompareExactAboveTwoPow53) {

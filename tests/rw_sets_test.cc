@@ -147,6 +147,45 @@ TEST_F(RwSetsTest, UnseenAliasValueIsWildcard) {
   EXPECT_TRUE(rw.wr.cols.at("users.uid").wildcard);
 }
 
+// Multi-source SELECTs: a compared column constrains only the source it
+// binds to unambiguously. Everything else reads any row (wildcard, ⊤).
+TEST_F(RwSetsTest, JoinInListConstrainsOnlyItsQualifiedSource) {
+  Analyze("CREATE TABLE a (id INT PRIMARY KEY, v INT)");
+  Analyze("CREATE TABLE b (id INT PRIMARY KEY, w INT)");
+  QueryRW rw = Analyze(
+      "SELECT a.id FROM a JOIN b ON a.v = b.w WHERE b.id IN (1, 2)");
+  const auto& ra = rw.rr.cols.at("a.id");
+  EXPECT_TRUE(ra.wildcard);
+  EXPECT_TRUE(ra.region.IsTop());
+  const auto& rb = rw.rr.cols.at("b.id");
+  EXPECT_FALSE(rb.wildcard);
+  EXPECT_EQ(rb.values.size(), 2u);
+  EXPECT_FALSE(rb.region.IsTop());
+}
+
+TEST_F(RwSetsTest, JoinBareRiColumnOwnedByBothSourcesWidens) {
+  Analyze("CREATE TABLE a (id INT PRIMARY KEY, v INT)");
+  Analyze("CREATE TABLE b (id INT PRIMARY KEY, w INT)");
+  QueryRW rw =
+      Analyze("SELECT a.id FROM a JOIN b ON a.v = b.w WHERE id = 1");
+  for (const char* key : {"a.id", "b.id"}) {
+    const auto& vals = rw.rr.cols.at(key);
+    EXPECT_TRUE(vals.wildcard) << key;
+    EXPECT_TRUE(vals.region.IsTop()) << key;
+  }
+}
+
+TEST_F(RwSetsTest, RiColumnResolvesThroughSourceAlias) {
+  Analyze("CREATE TABLE a (id INT PRIMARY KEY, v INT)");
+  QueryRW rw = Analyze("SELECT x.v FROM a x WHERE x.id = 3");
+  EXPECT_EQ(rw.rr.cols.at("a.id").values.size(), 1u);
+  // A self-join reads any row through the unconstrained copy.
+  QueryRW self = Analyze(
+      "SELECT x.v FROM a x JOIN a y ON x.v = y.v WHERE x.id = 3");
+  EXPECT_TRUE(self.rr.cols.at("a.id").wildcard);
+  EXPECT_TRUE(self.rr.cols.at("a.id").region.IsTop());
+}
+
 TEST_F(RwSetsTest, MergedRiValuesCanonicalizeEqual) {
   // §4.3 "Merging RI values": after UPDATE SET id = v2 WHERE id = v1,
   // v1 and v2 refer to the same physical row.

@@ -51,8 +51,8 @@ void MustExec(Database* db, uint64_t commit, const std::string& text) {
 }
 
 uint64_t CounterValue(const std::string& name) {
-  const obs::CounterSnapshot* c =
-      obs::Registry::Global().Collect().FindCounter(name);
+  const obs::Snapshot snapshot = obs::Registry::Global().Collect();
+  const obs::CounterSnapshot* c = snapshot.FindCounter(name);
   return c ? c->value : 0;
 }
 
@@ -295,8 +295,8 @@ TEST(VmPlanCacheTest, CompileLatencyRecordedWhenTimingEnabled) {
   MustExec(&db, commit++, "CREATE TABLE t (id INT PRIMARY KEY, v INT)");
   MustExec(&db, commit++, "INSERT INTO t (id, v) VALUES (1, 2)");
   obs::SetTiming(false);
-  const obs::HistogramSnapshot* h =
-      obs::Registry::Global().Collect().FindHistogram("uv.vm.compile_us");
+  const obs::Snapshot snapshot = obs::Registry::Global().Collect();
+  const obs::HistogramSnapshot* h = snapshot.FindHistogram("uv.vm.compile_us");
   ASSERT_NE(h, nullptr);
   EXPECT_GE(h->count, 1u);
 }
